@@ -235,21 +235,23 @@ class SessionLedger:
     """Per-session staging state a node keeps across reconnects.
 
     The ledger is the "store" in store-and-forward for fault-tolerant
-    sessions: contiguous payload bytes from offset 0, the session total,
-    and the high-water mark of bytes already pushed downstream (used to
-    count retransmissions).  A *generation* counter arbitrates between a
-    stalled old connection handler and the reconnect that superseded it:
-    only the newest claimant may append.
+    sessions.  A session runs as ``stripes`` parallel sublinks (the
+    :class:`~repro.lsl.options.StripeOption` layout; a plain session is
+    the one-stripe case): stripe ``k`` owns the ``block``-sized blocks
+    ``j`` of the payload with ``j % stripes == k`` and delivers them
+    sequentially, in stripe-local order.  Each stripe keeps an
+    append-only buffer of the bytes received from its offset 0, a
+    *generation* counter that arbitrates between a stalled old
+    connection handler and the reconnect that superseded it (only the
+    newest claimant may append, and claiming one stripe never
+    invalidates another), and the high-water mark of bytes already
+    pushed downstream (used to count retransmissions).
 
-    With ``stripes > 1`` the ledger instead reassembles N parallel
-    striped sublinks (the :class:`~repro.lsl.options.StripeOption`
-    layout): stripe ``k`` owns the ``block``-sized blocks ``j`` with
-    ``j % stripes == k``, each stripe's bytes arrive sequentially *in
-    stripe-local order* and are scattered into a preallocated buffer,
-    and claiming/appending/acknowledging happen per stripe — each
-    stripe connection resumes from its own stripe-local watermark, and
-    each stripe carries its own generation so concurrent stripe
-    connections never invalidate one another.
+    Memory follows the bytes received, never the ``total`` a header
+    claims; the stripes are interleaved into the session payload once,
+    when :attr:`data` is read.  The plain names (:meth:`claim`,
+    :meth:`append`, :meth:`read`, :meth:`note_sent`) address stripe 0
+    of a one-stripe ledger.
     """
 
     def __init__(self, total: int, stripes: int = 1, block: int = 16 << 10) -> None:
@@ -259,15 +261,9 @@ class SessionLedger:
         self.total = int(total)
         self.stripes = int(stripes)
         self.block = int(block)
-        if self.stripes == 1:
-            self.data = bytearray()
-        else:
-            self.data = bytearray(self.total)
-            self._progress = [0] * self.stripes
-            self._stripe_gen = [0] * self.stripes
-            self._stripe_high = [0] * self.stripes
-        self.generation = 0
-        self.high_water = 0
+        self._parts = [bytearray() for _ in range(self.stripes)]
+        self._gen = [0] * self.stripes
+        self._high = [0] * self.stripes
         self._completion_claimed = False
         self.lock = threading.Lock()
 
@@ -278,13 +274,7 @@ class SessionLedger:
         completion (counters, parking) to a single connection.
         """
         with self.lock:
-            if self._completion_claimed:
-                return False
-            if self.stripes == 1:
-                done = len(self.data) >= self.total
-            else:
-                done = sum(self._progress) >= self.total
-            if not done:
+            if self._completion_claimed or self._received() < self.total:
                 return False
             self._completion_claimed = True
             return True
@@ -295,67 +285,11 @@ class SessionLedger:
             self.stripes == 1 or block == self.block
         )
 
-    def _require_plain(self) -> None:
-        if self.stripes != 1:
-            raise ValueError(
-                f"ledger is striped x{self.stripes}; use the per-stripe API"
-            )
-
-    def _require_stripe(self, stripe: int) -> None:
-        if self.stripes == 1:
-            raise ValueError("ledger is not striped; use claim()/append()")
-        if not (0 <= stripe < self.stripes):
-            raise ValueError(
-                f"stripe {stripe} outside 0..{self.stripes - 1}"
-            )
-
-    def claim(self) -> tuple[int, int]:
-        """Register a new connection; returns ``(generation, acked)``.
-
-        ``acked`` is the contiguous byte count this node has durably
-        received — the offset the reconnecting upstream must resume from.
-        Claiming invalidates every earlier generation's right to append.
-        """
-        self._require_plain()
-        with self.lock:
-            self.generation += 1
-            return self.generation, len(self.data)
-
-    def append(self, generation: int, chunk: bytes) -> bool:
-        """Append received bytes; refused (False) if superseded."""
-        self._require_plain()
-        with self.lock:
-            if generation != self.generation:
-                return False
-            self.data += chunk
-            return True
-
-    # -- stripe geometry ------------------------------------------------------
     def stripe_total(self, stripe: int) -> int:
         """Bytes stripe ``stripe`` owns of the session payload."""
-        self._require_stripe(stripe)
-        total = 0
-        for start in range(stripe * self.block, self.total,
-                           self.stripes * self.block):
-            total += min(self.block, self.total - start)
-        return total
-
-    def _stripe_to_global(self, stripe: int, local: int) -> int:
-        block_idx, within = divmod(local, self.block)
-        return (block_idx * self.stripes + stripe) * self.block + within
-
-    def _stripe_spans(
-        self, stripe: int, start: int, end: int
-    ) -> list[tuple[int, int]]:
-        """Global ``(offset, length)`` spans of stripe-local ``[start, end)``."""
-        spans: list[tuple[int, int]] = []
-        local = start
-        while local < end:
-            within = local % self.block
-            run = min(self.block - within, end - local)
-            spans.append((self._stripe_to_global(stripe, local), run))
-            local += run
-        return spans
+        full, rest = divmod(self.total, self.block)
+        owned = len(range(stripe, full, self.stripes)) * self.block
+        return owned + (rest if full % self.stripes == stripe else 0)
 
     # -- per-stripe protocol --------------------------------------------------
     def claim_stripe(self, stripe: int) -> tuple[int, int]:
@@ -365,83 +299,114 @@ class SessionLedger:
         count durably received, which is where that stripe's upstream
         resumes.  Only invalidates earlier claims of the *same* stripe.
         """
-        self._require_stripe(stripe)
+        if not (0 <= stripe < self.stripes):
+            raise ValueError(f"stripe {stripe} outside 0..{self.stripes - 1}")
         with self.lock:
-            self._stripe_gen[stripe] += 1
-            return self._stripe_gen[stripe], self._progress[stripe]
+            self._gen[stripe] += 1
+            return self._gen[stripe], len(self._parts[stripe])
 
     def append_stripe(self, stripe: int, generation: int, chunk: bytes) -> bool:
-        """Scatter one stripe's sequential bytes into the buffer."""
-        self._require_stripe(stripe)
+        """Append one stripe's next bytes; refused (False) if superseded."""
         with self.lock:
-            if generation != self._stripe_gen[stripe]:
+            if generation != self._gen[stripe]:
                 return False
-            local = self._progress[stripe]
-            off = 0
-            for g_off, run in self._stripe_spans(
-                stripe, local, local + len(chunk)
-            ):
-                self.data[g_off : g_off + run] = chunk[off : off + run]
-                off += run
-            self._progress[stripe] = local + len(chunk)
+            self._parts[stripe] += chunk
             return True
 
     def stripe_acked(self, stripe: int) -> int:
         """Stripe-local bytes durably received (its resume watermark)."""
-        self._require_stripe(stripe)
         with self.lock:
-            return self._progress[stripe]
+            return len(self._parts[stripe])
 
     def stripe_generation(self, stripe: int) -> int:
         """The stripe's current connection generation."""
-        self._require_stripe(stripe)
         with self.lock:
-            return self._stripe_gen[stripe]
+            return self._gen[stripe]
 
     def read_stripe(self, stripe: int, start: int, end: int) -> bytes:
-        """Gather staged stripe-local bytes ``[start, end)``."""
-        self._require_stripe(stripe)
+        """A snapshot of staged stripe-local bytes ``[start, end)``."""
         with self.lock:
-            end = min(end, self._progress[stripe])
-            if end <= start:
-                return b""
-            out = bytearray()
-            for g_off, run in self._stripe_spans(stripe, start, end):
-                out += self.data[g_off : g_off + run]
-            return bytes(out)
+            return bytes(self._parts[stripe][start:end])
 
     def note_stripe_sent(self, stripe: int, start: int, end: int) -> int:
-        """Per-stripe :meth:`note_sent` (stripe-local offsets)."""
-        self._require_stripe(stripe)
+        """Record a downstream send of stripe-local ``[start, end)``.
+
+        Returns how many of those bytes had been sent before (the
+        retransmitted portion) and advances the stripe's high-water mark.
+        """
         with self.lock:
-            high = self._stripe_high[stripe]
-            retransmitted = max(0, min(end, high) - start)
-            self._stripe_high[stripe] = max(high, end)
-            return retransmitted
+            high = self._high[stripe]
+            self._high[stripe] = max(high, end)
+            return max(0, min(end, high) - start)
+
+    # -- whole-session views --------------------------------------------------
+    def _received(self) -> int:
+        return sum(len(part) for part in self._parts)
 
     @property
     def acked(self) -> int:
+        """Payload bytes durably received, over every stripe."""
         with self.lock:
-            if self.stripes == 1:
-                return len(self.data)
-            return sum(self._progress)
+            return self._received()
 
     @property
     def complete(self) -> bool:
         with self.lock:
-            if self.stripes == 1:
-                return len(self.data) >= self.total
-            return sum(self._progress) >= self.total
+            return self._received() >= self.total
 
-    def read(self, start: int, end: int) -> bytes:
-        """A snapshot of staged bytes ``[start, end)``.
+    @property
+    def high_water(self) -> int:
+        """Payload bytes already pushed downstream, over every stripe."""
+        with self.lock:
+            return sum(self._high)
 
-        In striped mode positions are only meaningful once the spanning
-        stripes have delivered them; callers use it on complete ledgers
-        (parking, pickup) where every position is filled.
+    @property
+    def data(self) -> bytes:
+        """The staged payload, the stripes interleaved block by block.
+
+        Every position is filled once the ledger is complete; before
+        that the interleave stops at the first block not yet received.
         """
         with self.lock:
-            return bytes(self.data[start:end])
+            if self.stripes == 1:
+                return bytes(self._parts[0])
+            views = [memoryview(part) for part in self._parts]
+            blocks = []
+            for j in range(-(-self.total // self.block)):
+                row = j // self.stripes * self.block
+                block = views[j % self.stripes][row : row + self.block]
+                if not block:
+                    break
+                blocks.append(block)
+            out = b"".join(blocks)
+            for view in (*blocks, *views):
+                view.release()
+            return out
+
+    # -- stripe 0 of a one-stripe ledger --------------------------------------
+    def _sole_stripe(self) -> int:
+        if self.stripes != 1:
+            raise ValueError(
+                f"ledger is striped x{self.stripes}; use the per-stripe API"
+            )
+        return 0
+
+    def claim(self) -> tuple[int, int]:
+        """Register a new connection; returns ``(generation, acked)``.
+
+        ``acked`` is the contiguous byte count this node has durably
+        received — the offset the reconnecting upstream must resume from.
+        Claiming invalidates every earlier generation's right to append.
+        """
+        return self.claim_stripe(self._sole_stripe())
+
+    def append(self, generation: int, chunk: bytes) -> bool:
+        """Append received bytes; refused (False) if superseded."""
+        return self.append_stripe(self._sole_stripe(), generation, chunk)
+
+    def read(self, start: int, end: int) -> bytes:
+        """A snapshot of staged bytes ``[start, end)``."""
+        return self.read_stripe(self._sole_stripe(), start, end)
 
     def note_sent(self, start: int, end: int) -> int:
         """Record a downstream send of ``[start, end)``.
@@ -449,7 +414,4 @@ class SessionLedger:
         Returns how many of those bytes had been sent before (the
         retransmitted portion) and advances the high-water mark.
         """
-        with self.lock:
-            retransmitted = max(0, min(end, self.high_water) - start)
-            self.high_water = max(self.high_water, end)
-            return retransmitted
+        return self.note_stripe_sent(self._sole_stripe(), start, end)

@@ -28,19 +28,25 @@ Servers additionally consult an optional
 :class:`~repro.lsl.faults.FaultPlan` so tests can inject connection
 drops, refused connects, stalls and corrupted headers deterministically.
 
-Striping and multicast
-----------------------
-A session whose header also carries a
-:class:`~repro.lsl.options.StripeOption` runs as one of N parallel
-*striped sublinks* (GridFTP-style): each stripe connection transports an
-interleaved slice of the payload in stripe-local order, every node
-reassembles the slices positionally through the shared
-:class:`~repro.lsl.faults.SessionLedger`, and the resume protocol runs
-per stripe — each stripe acknowledges and resumes at its own watermark.
-Sessions of type :attr:`~repro.lsl.header.SessionType.MULTICAST` retain
-their completed ledgers instead of evicting them, so a staging tree's
-ancestors can replay the payload toward descendants (and toward orphaned
-branches after a depot death) without the source resending a byte.
+Every fault-tolerant session takes one path, at every layer: it runs as
+N parallel *striped sublinks* (GridFTP-style), and a plain session is
+the ``N = 1`` case.  A header carrying a
+:class:`~repro.lsl.options.StripeOption` names its stripe; a header
+without one is stripe 0 of 1, so a plain session's wire bytes carry no
+stripe option.  Each stripe connection transports an interleaved slice
+of the payload in stripe-local order, every node stages the slices per
+stripe in the shared ledger, and the resume protocol runs per stripe —
+each stripe acknowledges and resumes at its own watermark.  The one
+receive routine either pumps each staged chunk downstream (a
+forwarding depot) or hands the completed payload over (a sink, or a
+depot parking a session addressed to it).
+
+Sessions without a resume option keep the fire-and-forget form: a
+bounded forward pump and no acknowledgements.  Sessions of type
+:attr:`~repro.lsl.header.SessionType.MULTICAST` retain their completed
+ledgers instead of evicting them, so a staging tree's ancestors can
+replay the payload toward descendants (and toward orphaned branches
+after a depot death) without the source resending a byte.
 
 Localhost has no bandwidth-delay product, so this transport verifies
 *correctness* (framing, routing, integrity, back-pressure, recovery);
@@ -62,6 +68,7 @@ from repro.lsl.faults import (
     RetryExhausted,
     RetryPolicy,
     SessionLedger,
+    StreamWatch,
 )
 from repro.lsl.header import FIXED_HEADER_SIZE, SessionHeader, SessionType
 from repro.lsl.options import LooseSourceRoute, ResumeOffset, StripeOption
@@ -197,6 +204,88 @@ def read_header(sock: socket.socket) -> SessionHeader:
     return header
 
 
+#: How a header without a :class:`~repro.lsl.options.StripeOption`
+#: reads: stripe 0 of a one-stripe session.
+_ONE_STRIPE = StripeOption(index=0, count=1)
+
+
+def _stripe_detail(index: int, count: int) -> str:
+    """Timeline ``detail`` naming a stripe; empty for a plain session."""
+    return f"stripe={index}" if count > 1 else ""
+
+
+def _emit_header(
+    sock: socket.socket,
+    header: SessionHeader,
+    node: str,
+    tl: SessionTimeline,
+    fault_plan: FaultPlan | None,
+) -> None:
+    """Narrate a fresh connection and send ``header`` on it.
+
+    ``node``'s pending ``CORRUPT_HEADER`` rule, if any, mangles the
+    bytes on the way out.
+    """
+    tl.record(
+        "connect", node=node, stream=STREAM_DOWN, session=header.hex_id,
+    )
+    tl.record(
+        "header_tx", node=node, stream=STREAM_DOWN, session=header.hex_id,
+    )
+    encoded = header.encode()
+    if fault_plan is not None:
+        encoded = fault_plan.corrupt_header(node, encoded)
+    sock.sendall(encoded)
+
+
+def _open_resumable(
+    address: tuple[str, int],
+    header: SessionHeader,
+    goal: int,
+    policy: RetryPolicy,
+    node: str,
+    tl: SessionTimeline,
+    fault_plan: FaultPlan | None,
+    detail: str,
+) -> tuple[socket.socket, int]:
+    """One resume handshake: connect, emit ``header``, read the ack point.
+
+    Returns the open connection and the stripe-local offset the peer
+    acknowledged, which cannot exceed the stripe's ``goal`` bytes.
+    Connection failures propagate for the caller's retry loop.
+    """
+    sock = socket.create_connection(address, timeout=policy.connect_timeout)
+    try:
+        sock.settimeout(policy.io_timeout)
+        _cap_buffers(sock)
+        _emit_header(sock, header, node, tl, fault_plan)
+        ack = RESUME_ACK.unpack(_read_exact(sock, RESUME_ACK.size))[0]
+        if ack > goal:
+            raise ValueError(
+                f"peer acknowledged {ack} of {goal} bytes {detail}".rstrip()
+            )
+    except BaseException:
+        sock.close()
+        raise
+    if ack > 0:
+        tl.record(
+            "resume", node=node, stream=STREAM_DOWN, session=header.hex_id,
+            nbytes=ack, detail=detail,
+        )
+    return sock, ack
+
+
+def _pause_before_retry(
+    policy: RetryPolicy, failures: int, sublink: str, exc: Exception
+) -> None:
+    """Back off before retry number ``failures``, or give up on ``sublink``."""
+    if failures > policy.max_retries:
+        raise RetryExhausted(
+            f"{sublink} failed after {policy.max_retries} retries: {exc}"
+        ) from exc
+    time.sleep(policy.delay(failures - 1))
+
+
 class _Server:
     """Shared accept-loop plumbing for depot and sink servers."""
 
@@ -218,6 +307,9 @@ class _Server:
         if not hasattr(self, "errors"):
             self.errors: list = []
         self.leaked_threads: list[threading.Thread] = []
+        #: staging ledgers of in-flight fault-tolerant sessions
+        self._ledgers: dict[str, SessionLedger] = {}
+        self._ledger_lock = threading.Lock()
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         _cap_buffers(self._sock)  # inherited by accepted connections
@@ -301,6 +393,169 @@ class _Server:
 
     def handle(self, conn: socket.socket) -> None:  # pragma: no cover
         raise NotImplementedError
+
+    # -- inbound streams -----------------------------------------------------
+    def _stream_watch(self) -> StreamWatch | None:
+        """A fresh per-connection ``DROP``/``STALL`` counter, if planned."""
+        if self.fault_plan is None:
+            return None
+        return self.fault_plan.stream_watch(self.name)
+
+    def _apply_stream_faults(
+        self, watch: StreamWatch | None, conn: socket.socket, nbytes: int
+    ) -> None:
+        """Count ``nbytes`` just received against ``watch``; stall or drop.
+
+        A ``STALL`` pauses before the chunk is consumed (closing the
+        server cuts the pause short); a ``DROP`` resets ``conn`` and
+        raises :class:`TruncatedStream`, so the chunk is never stored.
+        """
+        rule = None if watch is None else watch.advance(nbytes)
+        if rule is None:
+            return
+        if rule.kind is FaultKind.STALL:
+            self._stop.wait(rule.delay)
+        elif rule.kind is FaultKind.DROP:
+            _abort_socket(conn)
+            raise TruncatedStream(f"injected drop at {self.name}")
+
+    def _read_to_eof(self, conn: socket.socket, header: SessionHeader) -> bytes:
+        """Receive a fire-and-forget session's payload up to the EOF."""
+        watch = self._stream_watch()
+        rx = self.obs.counter("lsl_rx_bytes_total", labels={"node": self.name})
+        chunks = bytearray()
+        while True:
+            data = conn.recv(_IO_CHUNK)
+            if not data:
+                break
+            self._apply_stream_faults(watch, conn, len(data))
+            if not chunks:
+                self.timeline.record(
+                    "first_byte", node=self.name, stream=STREAM_UP,
+                    session=header.hex_id, nbytes=len(data),
+                )
+            chunks += data
+            rx.inc(len(data))
+        self.timeline.record(
+            "eof", node=self.name, stream=STREAM_UP,
+            session=header.hex_id, nbytes=len(chunks),
+        )
+        return bytes(chunks)
+
+    # -- the resume protocol, receiving side ---------------------------------
+    @staticmethod
+    def _resume_of(header: SessionHeader) -> ResumeOffset | None:
+        """The header's resume option; a stripe needs one to reassemble."""
+        resume = header.option(ResumeOffset)
+        if resume is None and header.option(StripeOption) is not None:
+            raise ValueError(
+                f"striped session {header.hex_id} lacks a resume option"
+            )
+        return resume
+
+    def _ledger_for(
+        self, hex_id: str, total: int, stripe: StripeOption
+    ) -> tuple[SessionLedger, int, int]:
+        """Claim ``stripe`` of session ``hex_id``, creating its ledger.
+
+        Returns ``(ledger, generation, stripe_acked)``.  A connection
+        that claims a stripe claimed before is a resume.  Raises
+        ``ValueError`` when the connection's stripe layout disagrees
+        with the ledger's.
+        """
+        with self._ledger_lock:
+            ledger = self._ledgers.get(hex_id)
+            if ledger is None:
+                ledger = SessionLedger(
+                    total, stripes=stripe.count, block=stripe.block
+                )
+                self._ledgers[hex_id] = ledger
+            elif not ledger.matches(stripe.count, stripe.block):
+                raise ValueError(
+                    f"session {hex_id} stripe layout mismatch: ledger "
+                    f"x{ledger.stripes}/block {ledger.block}, connection "
+                    f"x{stripe.count}/block {stripe.block}"
+                )
+            generation, acked = ledger.claim_stripe(stripe.index)
+            if generation > 1:
+                # a depot's _stats_lock nests inside _ledger_lock here; no
+                # other path takes them in the opposite order
+                self._note_resumed()
+            return ledger, generation, acked
+
+    def _note_resumed(self) -> None:
+        """Count a resumed stripe connection (depots keep the counter)."""
+
+    def _evict_ledger(self, hex_id: str) -> None:
+        with self._ledger_lock:
+            self._ledgers.pop(hex_id, None)
+
+    def _receive_resumable(
+        self,
+        conn: socket.socket,
+        header: SessionHeader,
+        resume: ResumeOffset,
+        on_complete,
+        forward_to: tuple[tuple[str, int], SessionHeader] | None = None,
+    ) -> None:
+        """Serve one connection of a fault-tolerant session: one stripe.
+
+        Claims the stripe, replies with its acknowledgement point, and
+        stages inbound bytes (under the fault plan) until the stripe is
+        in.  With ``forward_to`` (next hop, onward header) a
+        :class:`_DownstreamPump` pushes each staged chunk on at once.
+        The connection whose stripe completes the ledger calls
+        ``on_complete(ledger)`` once; every stripe then sends its final
+        acknowledgement.  A connection superseded by a newer claim of its
+        stripe returns quietly; one cut short raises for the upstream to
+        resume.
+        """
+        stripe = header.option(StripeOption) or _ONE_STRIPE
+        index = stripe.index
+        ledger, generation, acked = self._ledger_for(
+            header.hex_id, resume.total, stripe
+        )
+        detail = _stripe_detail(index, stripe.count)
+        conn.sendall(RESUME_ACK.pack(acked))
+        if acked > 0:
+            self.timeline.record(
+                "resume", node=self.name, stream=STREAM_UP,
+                session=header.hex_id, nbytes=acked, detail=detail,
+            )
+        goal = ledger.stripe_total(index)
+        progress = _RxProgress(self, header.hex_id, goal, acked)
+        watch = self._stream_watch()
+        pump = None
+        if forward_to is not None:
+            pump = _DownstreamPump(self, *forward_to, ledger, index)
+        position = acked
+        try:
+            while position < goal:
+                data = conn.recv(_IO_CHUNK)
+                if not data:
+                    raise TruncatedStream(
+                        f"session {header.hex_id} interrupted at "
+                        f"{position}/{goal} bytes; awaiting resume {detail}"
+                        .rstrip()
+                    )
+                self._apply_stream_faults(watch, conn, len(data))
+                if not ledger.append_stripe(index, generation, data):
+                    return  # a newer connection took over this stripe
+                position += len(data)
+                progress.note(position, len(data))
+                if pump is not None:
+                    pump.stage(len(data), position)
+            if ledger.stripe_generation(index) != generation:
+                return  # superseded after its last byte arrived
+            progress.eof()
+            if pump is not None:
+                pump.finish()
+            if ledger.claim_completion():
+                on_complete(ledger)
+            conn.sendall(RESUME_ACK.pack(goal))
+        finally:
+            if pump is not None:
+                pump.close()
 
     def close(self, timeout: float = 5.0, abort: bool = False) -> None:
         """Stop accepting and wait for in-flight sessions to finish.
@@ -400,19 +655,18 @@ class _Server:
         return False
 
 
+
+
 class _DownstreamPump:
-    """A depot's fault-tolerant downstream side for one session.
+    """A depot's fault-tolerant downstream side for one stripe of a session.
 
     Lazily connects toward ``next_hop``, performs the resume handshake,
-    streams newly staged ledger bytes, and transparently reconnects
-    (bounded by the depot's :class:`~repro.lsl.faults.RetryPolicy`) when
-    the sublink fails — resending only bytes the downstream node had not
-    acknowledged.
-
-    With ``stripe`` given the pump serves one striped sublink: offsets
-    are stripe-local, staged bytes are gathered with
-    :meth:`~repro.lsl.faults.SessionLedger.read_stripe`, and the final
-    acknowledgement must equal that stripe's share of the payload.
+    streams newly staged stripe bytes from the ledger, and transparently
+    reconnects (bounded by the depot's
+    :class:`~repro.lsl.faults.RetryPolicy`) when the sublink fails —
+    resending only bytes the downstream node had not acknowledged.
+    Offsets are stripe-local, and the final acknowledgement must equal
+    the stripe's share of the payload (all of it, for a plain session).
     """
 
     def __init__(
@@ -421,50 +675,29 @@ class _DownstreamPump:
         next_hop: tuple[str, int],
         header: SessionHeader,
         ledger: SessionLedger,
-        stripe: StripeOption | None = None,
+        index: int,
     ) -> None:
         self._depot = depot
         self._next_hop = next_hop
         self._header = header
         self._ledger = ledger
-        self._stripe = stripe
+        self._index = index
+        self._goal = ledger.stripe_total(index)
+        self._detail = _stripe_detail(index, ledger.stripes)
         self._sock: socket.socket | None = None
-        self._fwd = 0  # next (stripe-local) offset to send downstream
+        self._fwd = 0  # next stripe-local offset to send downstream
         self._attempts = 0
         self._tx = depot.obs.counter(
             "lsl_tx_bytes_total", labels={"node": depot.name}
         )
 
-    def _staged(self) -> int:
-        if self._stripe is None:
-            return self._ledger.acked
-        return self._ledger.stripe_acked(self._stripe.index)
-
-    def _goal(self) -> int:
-        if self._stripe is None:
-            return self._ledger.total
-        return self._ledger.stripe_total(self._stripe.index)
-
-    def _read(self, start: int, end: int) -> bytes:
-        if self._stripe is None:
-            return self._ledger.read(start, end)
-        return self._ledger.read_stripe(self._stripe.index, start, end)
-
-    def _note_sent(self, start: int, end: int) -> int:
-        if self._stripe is None:
-            return self._ledger.note_sent(start, end)
-        return self._ledger.note_stripe_sent(self._stripe.index, start, end)
-
     def _backoff(self, exc: Exception) -> None:
         self._drop_socket()
         self._attempts += 1
-        policy = self._depot.retry
-        if self._attempts > policy.max_retries:
-            raise RetryExhausted(
-                f"downstream {self._next_hop} failed after "
-                f"{policy.max_retries} retries"
-            ) from exc
-        time.sleep(policy.delay(self._attempts - 1))
+        _pause_before_retry(
+            self._depot.retry, self._attempts,
+            f"downstream {self._next_hop}", exc,
+        )
 
     def _drop_socket(self) -> None:
         if self._sock is not None:
@@ -475,65 +708,31 @@ class _DownstreamPump:
             self._sock = None
 
     def _connect(self) -> None:
-        policy = self._depot.retry
+        depot = self._depot
         while self._sock is None:
-            sock = None
             try:
-                sock = socket.create_connection(
-                    self._next_hop, timeout=policy.connect_timeout
+                self._sock, self._fwd = _open_resumable(
+                    self._next_hop, self._header, self._goal, depot.retry,
+                    depot.name, depot.timeline, depot.fault_plan,
+                    self._detail,
                 )
-                sock.settimeout(policy.io_timeout)
-                _cap_buffers(sock)
-                timeline = self._depot.timeline
-                session = self._header.hex_id
-                timeline.record(
-                    "connect",
-                    node=self._depot.name,
-                    stream=STREAM_DOWN,
-                    session=session,
-                )
-                timeline.record(
-                    "header_tx",
-                    node=self._depot.name,
-                    stream=STREAM_DOWN,
-                    session=session,
-                )
-                encoded = self._header.encode()
-                plan = self._depot.fault_plan
-                if plan is not None:
-                    encoded = plan.corrupt_header(self._depot.name, encoded)
-                sock.sendall(encoded)
-                ack = RESUME_ACK.unpack(_read_exact(sock, RESUME_ACK.size))[0]
-                if ack > 0:
-                    timeline.record(
-                        "resume",
-                        node=self._depot.name,
-                        stream=STREAM_DOWN,
-                        session=session,
-                        nbytes=ack,
-                    )
-                self._sock = sock
-                self._fwd = ack
             except (ConnectionError, OSError) as exc:
-                if sock is not None:
-                    try:
-                        sock.close()
-                    except OSError:
-                        pass
                 self._backoff(exc)
 
-    def flush(self) -> None:
-        """Push every staged byte beyond the forward point downstream."""
+    def stage(self, nbytes: int, staged: int) -> None:
+        """Count ``nbytes`` newly staged, then push up to ``staged``."""
+        self._depot._note_forwarded(nbytes)
+        self.flush(staged)
+
+    def flush(self, staged: int) -> None:
+        """Push the staged stripe bytes beyond the forward point downstream."""
         while True:
-            staged = self._staged()
-            if self._fwd >= staged and self._sock is not None:
-                return
             if self._sock is None:
                 self._connect()
                 continue
-            chunk = self._read(self._fwd, staged)
-            if not chunk:
+            if self._fwd >= staged:
                 return
+            chunk = self._ledger.read_stripe(self._index, self._fwd, staged)
             try:
                 self._sock.sendall(chunk)
             except (ConnectionError, OSError) as exc:
@@ -542,7 +741,7 @@ class _DownstreamPump:
             end = self._fwd + len(chunk)
             self._tx.inc(len(chunk))
             self._depot._note_retransmitted(
-                self._note_sent(self._fwd, end)
+                self._ledger.note_stripe_sent(self._index, self._fwd, end)
             )
             self._fwd = end
 
@@ -550,16 +749,16 @@ class _DownstreamPump:
         """Flush, half-close, and insist on the downstream final ack."""
         while True:
             try:
-                self.flush()
+                self.flush(self._goal)
                 assert self._sock is not None
                 self._sock.shutdown(socket.SHUT_WR)
                 final = RESUME_ACK.unpack(
                     _read_exact(self._sock, RESUME_ACK.size)
                 )[0]
-                if final != self._goal():
+                if final != self._goal:
                     raise TruncatedStream(
                         f"downstream acknowledged {final} of "
-                        f"{self._goal()} bytes"
+                        f"{self._goal} bytes"
                     )
                 self._depot.timeline.record(
                     "complete",
@@ -567,10 +766,7 @@ class _DownstreamPump:
                     stream=STREAM_DOWN,
                     session=self._header.hex_id,
                     nbytes=final,
-                    detail=(
-                        "" if self._stripe is None
-                        else f"stripe={self._stripe.index}"
-                    ),
+                    detail=self._detail,
                 )
                 return
             except (ConnectionError, OSError) as exc:
@@ -637,9 +833,6 @@ class DepotServer(_Server):
         #: asynchronous sessions parked here, keyed by hex session id
         self.held: dict[str, bytes] = {}
         self._held_lock = threading.Lock()
-        #: staging ledgers of in-flight fault-tolerant sessions
-        self._ledgers: dict[str, SessionLedger] = {}
-        self._ledger_lock = threading.Lock()
         super().__init__(
             host,
             port,
@@ -663,33 +856,6 @@ class DepotServer(_Server):
             ip, _, port = entry.partition(":")
             return (ip, int(port)), header
         return (header.dst_ip, header.dst_port), header
-
-    def _ledger_for(
-        self, hex_id: str, total: int, stripe: StripeOption | None = None
-    ) -> SessionLedger:
-        stripes = 1 if stripe is None else stripe.count
-        block = 16 << 10 if stripe is None else stripe.block
-        with self._ledger_lock:
-            ledger = self._ledgers.get(hex_id)
-            if ledger is None:
-                ledger = SessionLedger(total, stripes=stripes, block=block)
-                self._ledgers[hex_id] = ledger
-            else:
-                if not ledger.matches(stripes, block):
-                    raise ValueError(
-                        f"session {hex_id} stripe layout mismatch: ledger "
-                        f"x{ledger.stripes}/block {ledger.block}, connection "
-                        f"x{stripes}/block {block}"
-                    )
-                if stripe is None:
-                    # _stats_lock nests inside _ledger_lock here; no other
-                    # path takes them in the opposite order.  Striped
-                    # connections count their own resumes per stripe —
-                    # stripes 2..N finding the ledger stripe 1 created is
-                    # normal operation, not a recovery.
-                    with self._stats_lock:
-                        self.sessions_resumed += 1
-            return ledger
 
     def snapshot(self) -> dict[str, int]:
         """A consistent view of the traffic counters, under the lock.
@@ -723,14 +889,19 @@ class DepotServer(_Server):
             ).set(value)
         return target
 
-    def _evict_ledger(self, hex_id: str) -> None:
-        with self._ledger_lock:
-            self._ledgers.pop(hex_id, None)
-
     def _note_retransmitted(self, nbytes: int) -> None:
         """Count downstream bytes sent more than once (recovery cost)."""
         with self._stats_lock:
             self.retransmitted_bytes += nbytes
+
+    def _note_forwarded(self, nbytes: int) -> None:
+        """Count payload bytes received for forwarding."""
+        with self._stats_lock:
+            self.bytes_forwarded += nbytes
+
+    def _note_resumed(self) -> None:
+        with self._stats_lock:
+            self.sessions_resumed += 1
 
     def handle(self, conn: socket.socket) -> None:
         """Serve one inbound session: park, pick up, resume, or forward."""
@@ -750,54 +921,25 @@ class DepotServer(_Server):
                 raise ValueError(f"no held session {header.hex_id}")
             conn.sendall(payload)
             return
-        resume = header.option(ResumeOffset)
-        stripe = header.option(StripeOption)
-        if stripe is not None and resume is None:
-            raise ValueError(
-                f"striped session {header.hex_id} lacks a resume option"
-            )
+        resume = self._resume_of(header)
         # sessions addressed to this depot are parked, not forwarded
-        if (header.dst_ip, header.dst_port) == (self.host, self.port):
-            if stripe is not None:
-                self._park_striped(conn, header, resume, stripe)
-                return
-            if resume is not None:
-                self._park_resumable(conn, header, resume)
-                return
-            rx = self.obs.counter(
-                "lsl_rx_bytes_total", labels={"node": self.name}
-            )
-            chunks = bytearray()
-            while True:
-                data = conn.recv(_IO_CHUNK)
-                if not data:
-                    break
-                if not chunks:
-                    self.timeline.record(
-                        "first_byte", node=self.name, stream=STREAM_UP,
-                        session=header.hex_id, nbytes=len(data),
-                    )
-                chunks += data
-                rx.inc(len(data))
-            self.timeline.record(
-                "eof", node=self.name, stream=STREAM_UP,
-                session=header.hex_id, nbytes=len(chunks),
-            )
-            with self._held_lock:
-                self.held[header.hex_id] = bytes(chunks)
-            return
-        if stripe is not None:
-            self._forward_striped(conn, header, resume, stripe)
-            return
+        parked = (header.dst_ip, header.dst_port) == (self.host, self.port)
         if resume is not None:
-            self._forward_resumable(conn, header, resume)
+            self._receive_resumable(
+                conn,
+                header,
+                resume,
+                lambda ledger: self._stage_complete(header, ledger, parked),
+                forward_to=None if parked else self._next_hop(header),
+            )
+            return
+        if parked:
+            payload = self._read_to_eof(conn, header)
+            with self._held_lock:
+                self.held[header.hex_id] = payload
             return
         next_hop, out_header = self._next_hop(header)
-        watch = (
-            self.fault_plan.stream_watch(self.name)
-            if self.fault_plan is not None
-            else None
-        )
+        watch = self._stream_watch()
         rx = self.obs.counter(
             "lsl_rx_bytes_total", labels={"node": self.name}
         )
@@ -805,18 +947,8 @@ class DepotServer(_Server):
             "lsl_tx_bytes_total", labels={"node": self.name}
         )
         with _connect_with_retry(next_hop, self.retry) as out:
-            self.timeline.record(
-                "connect", node=self.name, stream=STREAM_DOWN,
-                session=header.hex_id,
-            )
-            self.timeline.record(
-                "header_tx", node=self.name, stream=STREAM_DOWN,
-                session=header.hex_id,
-            )
-            encoded = out_header.encode()
-            if self.fault_plan is not None:
-                encoded = self.fault_plan.corrupt_header(self.name, encoded)
-            out.sendall(encoded)
+            _emit_header(out, out_header, self.name, self.timeline,
+                         self.fault_plan)
             # bounded store-and-forward pump
             received = 0
             while True:
@@ -828,22 +960,12 @@ class DepotServer(_Server):
                         "first_byte", node=self.name, stream=STREAM_UP,
                         session=header.hex_id, nbytes=len(data),
                     )
-                if watch is not None:
-                    rule = watch.advance(len(data))
-                    if rule is not None:
-                        if rule.kind is FaultKind.STALL:
-                            time.sleep(rule.delay)
-                        elif rule.kind is FaultKind.DROP:
-                            _abort_socket(conn)
-                            raise TruncatedStream(
-                                f"injected drop at {self.name}"
-                            )
+                self._apply_stream_faults(watch, conn, len(data))
                 out.sendall(data)
                 received += len(data)
                 rx.inc(len(data))
                 tx.inc(len(data))
-                with self._stats_lock:
-                    self.bytes_forwarded += len(data)
+                self._note_forwarded(len(data))
         self.timeline.record(
             "eof", node=self.name, stream=STREAM_UP,
             session=header.hex_id, nbytes=received,
@@ -866,195 +988,24 @@ class DepotServer(_Server):
         """
         return header.session_type == SessionType.MULTICAST
 
-    # -- fault-tolerant paths ------------------------------------------------
-    def _park_resumable(
-        self, conn: socket.socket, header: SessionHeader, resume: ResumeOffset
+    def _stage_complete(
+        self, header: SessionHeader, ledger: SessionLedger, parked: bool
     ) -> None:
-        """Park a fault-tolerant session addressed to this depot."""
-        ledger = self._ledger_for(header.hex_id, resume.total)
+        """Park or count a completed fault-tolerant session, once.
 
-        def store(data: bytes) -> None:
-            with self._held_lock:
-                self.held[header.hex_id] = data
-
-        if _receive_into_ledger(self, conn, header, ledger, store):
-            if not self._retains_ledger(header):
-                self._evict_ledger(header.hex_id)
-
-    def _park_striped(
-        self,
-        conn: socket.socket,
-        header: SessionHeader,
-        resume: ResumeOffset,
-        stripe: StripeOption,
-    ) -> None:
-        """Park one striped sublink of a session addressed to this depot."""
-        ledger = self._ledger_for(header.hex_id, resume.total, stripe=stripe)
-        if ledger.stripe_generation(stripe.index) > 0:
-            with self._stats_lock:
-                self.sessions_resumed += 1
-
-        def store(data: bytes) -> None:
-            with self._held_lock:
-                self.held[header.hex_id] = data
-
-        if _receive_stripe_into_ledger(
-            self, conn, header, ledger, stripe.index, store
-        ):
-            if not self._retains_ledger(header):
-                self._evict_ledger(header.hex_id)
-
-    def _forward_striped(
-        self,
-        conn: socket.socket,
-        header: SessionHeader,
-        resume: ResumeOffset,
-        stripe: StripeOption,
-    ) -> None:
-        """Stage and forward one striped sublink of a session.
-
-        Mirrors :meth:`_forward_resumable` with stripe-local offsets:
-        this connection carries stripe ``stripe.index``'s interleaved
-        slice, acknowledges that stripe's own watermark, and pumps the
-        slice downstream on a dedicated striped connection.  The session
-        counts as forwarded when the *last* stripe completes the ledger.
+        A forward counts before the final ack goes upstream: once the
+        ack is out the whole chain unwinds, and callers joining on it
+        must observe the forward as complete.  A multicast replay from a
+        retained ledger does not count again.
         """
-        ledger = self._ledger_for(header.hex_id, resume.total, stripe=stripe)
-        if ledger.stripe_generation(stripe.index) > 0:
+        if parked:
+            with self._held_lock:
+                self.held[header.hex_id] = ledger.data
+        else:
             with self._stats_lock:
-                self.sessions_resumed += 1
-        generation, acked = ledger.claim_stripe(stripe.index)
-        conn.sendall(RESUME_ACK.pack(acked))
-        if acked > 0:
-            self.timeline.record(
-                "resume", node=self.name, stream=STREAM_UP,
-                session=header.hex_id, nbytes=acked,
-                detail=f"stripe={stripe.index}",
-            )
-        goal = ledger.stripe_total(stripe.index)
-        progress = _RxProgress(self, header.hex_id, goal, acked)
-        next_hop, out_header = self._next_hop(header)
-        watch = (
-            self.fault_plan.stream_watch(self.name)
-            if self.fault_plan is not None
-            else None
-        )
-        pump = _DownstreamPump(self, next_hop, out_header, ledger, stripe=stripe)
-        try:
-            interrupted = False
-            while ledger.stripe_acked(stripe.index) < goal:
-                try:
-                    data = conn.recv(_IO_CHUNK)
-                except OSError:
-                    interrupted = True
-                    break
-                if not data:
-                    interrupted = True
-                    break
-                if watch is not None:
-                    rule = watch.advance(len(data))
-                    if rule is not None:
-                        if rule.kind is FaultKind.STALL:
-                            time.sleep(rule.delay)
-                        elif rule.kind is FaultKind.DROP:
-                            _abort_socket(conn)
-                            interrupted = True
-                            break
-                if not ledger.append_stripe(stripe.index, generation, data):
-                    return  # a newer connection took over this stripe
-                progress.note(ledger.stripe_acked(stripe.index), len(data))
-                with self._stats_lock:
-                    self.bytes_forwarded += len(data)
-                pump.flush()
-            done = ledger.stripe_acked(stripe.index) >= goal
-            if done and ledger.stripe_generation(stripe.index) == generation:
-                progress.eof()
-                pump.finish()
-                if ledger.claim_completion():
-                    with self._stats_lock:
-                        self.sessions_forwarded += 1
-                conn.sendall(RESUME_ACK.pack(goal))
-                if ledger.complete and not self._retains_ledger(header):
-                    self._evict_ledger(header.hex_id)
-            elif interrupted:
-                raise TruncatedStream(
-                    f"session {header.hex_id} stripe {stripe.index} "
-                    f"interrupted at {ledger.stripe_acked(stripe.index)}/"
-                    f"{goal} bytes; awaiting resume"
-                )
-        finally:
-            pump.close()
-
-    def _forward_resumable(
-        self, conn: socket.socket, header: SessionHeader, resume: ResumeOffset
-    ) -> None:
-        """Stage and forward one fault-tolerant session connection.
-
-        Staged bytes live in the session's ledger, which survives this
-        connection: if the upstream drops mid-stream the ledger waits for
-        the reconnect, and if the downstream drops the pump replays from
-        whatever offset the next hop acknowledges.
-        """
-        ledger = self._ledger_for(header.hex_id, resume.total)
-        generation, acked = ledger.claim()
-        conn.sendall(RESUME_ACK.pack(acked))
-        if acked > 0:
-            self.timeline.record(
-                "resume", node=self.name, stream=STREAM_UP,
-                session=header.hex_id, nbytes=acked,
-            )
-        progress = _RxProgress(self, header.hex_id, ledger.total, acked)
-        next_hop, out_header = self._next_hop(header)
-        watch = (
-            self.fault_plan.stream_watch(self.name)
-            if self.fault_plan is not None
-            else None
-        )
-        pump = _DownstreamPump(self, next_hop, out_header, ledger)
-        try:
-            interrupted = False
-            while not ledger.complete:
-                try:
-                    data = conn.recv(_IO_CHUNK)
-                except OSError:
-                    interrupted = True
-                    break
-                if not data:
-                    interrupted = True
-                    break
-                if watch is not None:
-                    rule = watch.advance(len(data))
-                    if rule is not None:
-                        if rule.kind is FaultKind.STALL:
-                            time.sleep(rule.delay)
-                        elif rule.kind is FaultKind.DROP:
-                            _abort_socket(conn)
-                            interrupted = True
-                            break
-                if not ledger.append(generation, data):
-                    return  # a newer connection took over this session
-                progress.note(ledger.acked, len(data))
-                with self._stats_lock:
-                    self.bytes_forwarded += len(data)
-                pump.flush()
-            if ledger.complete and ledger.generation == generation:
-                progress.eof()
-                pump.finish()
-                # Count before acking upstream: once the ack is out the
-                # whole chain unwinds, and callers joining on it must
-                # observe the forward as complete.
-                with self._stats_lock:
-                    self.sessions_forwarded += 1
-                conn.sendall(RESUME_ACK.pack(ledger.total))
-                if not self._retains_ledger(header):
-                    self._evict_ledger(header.hex_id)
-            elif interrupted:
-                raise TruncatedStream(
-                    f"session {header.hex_id} interrupted at "
-                    f"{ledger.acked}/{ledger.total} bytes; awaiting resume"
-                )
-        finally:
-            pump.close()
+                self.sessions_forwarded += 1
+        if not self._retains_ledger(header):
+            self._evict_ledger(header.hex_id)
 
 
 class _RxProgress:
@@ -1115,138 +1066,6 @@ class _RxProgress:
             ).set(self._total / elapsed)
 
 
-def _receive_into_ledger(
-    server: _Server,
-    conn: socket.socket,
-    header: SessionHeader,
-    ledger: SessionLedger,
-    on_complete,
-) -> bool:
-    """Shared terminating side of the resume protocol.
-
-    Claims the ledger, replies with the acknowledgement point, appends
-    inbound bytes (consulting the server's fault plan), and on completion
-    hands the full payload to ``on_complete`` and sends the final ack.
-    Returns True when the session completed under this connection.
-    """
-    generation, acked = ledger.claim()
-    conn.sendall(RESUME_ACK.pack(acked))
-    if acked > 0:
-        server.timeline.record(
-            "resume", node=server.name, stream=STREAM_UP,
-            session=header.hex_id, nbytes=acked,
-        )
-    progress = _RxProgress(server, header.hex_id, ledger.total, acked)
-    watch = (
-        server.fault_plan.stream_watch(server.name)
-        if server.fault_plan is not None
-        else None
-    )
-    interrupted = False
-    while not ledger.complete:
-        try:
-            data = conn.recv(_IO_CHUNK)
-        except OSError:
-            interrupted = True
-            break
-        if not data:
-            interrupted = True
-            break
-        if watch is not None:
-            rule = watch.advance(len(data))
-            if rule is not None:
-                if rule.kind is FaultKind.STALL:
-                    time.sleep(rule.delay)
-                elif rule.kind is FaultKind.DROP:
-                    _abort_socket(conn)
-                    interrupted = True
-                    break
-        if not ledger.append(generation, data):
-            return False  # superseded by a newer connection
-        progress.note(ledger.acked, len(data))
-    if ledger.complete and ledger.generation == generation:
-        progress.eof()
-        on_complete(bytes(ledger.data))
-        conn.sendall(RESUME_ACK.pack(ledger.total))
-        return True
-    if interrupted:
-        raise TruncatedStream(
-            f"session {header.hex_id} interrupted at "
-            f"{ledger.acked}/{ledger.total} bytes; awaiting resume"
-        )
-    return False
-
-
-def _receive_stripe_into_ledger(
-    server: _Server,
-    conn: socket.socket,
-    header: SessionHeader,
-    ledger: SessionLedger,
-    stripe_index: int,
-    on_complete,
-) -> bool:
-    """Terminating side of one striped sublink of the resume protocol.
-
-    Claims the stripe, acknowledges its stripe-local watermark, scatters
-    inbound bytes into the shared ledger, and — when this connection's
-    stripe finishing completes the whole ledger — hands the reassembled
-    payload to ``on_complete``.  Returns True when the *ledger* (not
-    just this stripe) completed under this connection.
-    """
-    generation, acked = ledger.claim_stripe(stripe_index)
-    conn.sendall(RESUME_ACK.pack(acked))
-    if acked > 0:
-        server.timeline.record(
-            "resume", node=server.name, stream=STREAM_UP,
-            session=header.hex_id, nbytes=acked,
-            detail=f"stripe={stripe_index}",
-        )
-    goal = ledger.stripe_total(stripe_index)
-    progress = _RxProgress(server, header.hex_id, goal, acked)
-    watch = (
-        server.fault_plan.stream_watch(server.name)
-        if server.fault_plan is not None
-        else None
-    )
-    interrupted = False
-    while ledger.stripe_acked(stripe_index) < goal:
-        try:
-            data = conn.recv(_IO_CHUNK)
-        except OSError:
-            interrupted = True
-            break
-        if not data:
-            interrupted = True
-            break
-        if watch is not None:
-            rule = watch.advance(len(data))
-            if rule is not None:
-                if rule.kind is FaultKind.STALL:
-                    time.sleep(rule.delay)
-                elif rule.kind is FaultKind.DROP:
-                    _abort_socket(conn)
-                    interrupted = True
-                    break
-        if not ledger.append_stripe(stripe_index, generation, data):
-            return False  # superseded by a newer connection
-        progress.note(ledger.stripe_acked(stripe_index), len(data))
-    done = ledger.stripe_acked(stripe_index) >= goal
-    if done and ledger.stripe_generation(stripe_index) == generation:
-        progress.eof()
-        completed = ledger.claim_completion()
-        if completed:
-            on_complete(bytes(ledger.data))
-        conn.sendall(RESUME_ACK.pack(goal))
-        return completed
-    if interrupted:
-        raise TruncatedStream(
-            f"session {header.hex_id} stripe {stripe_index} interrupted "
-            f"at {ledger.stripe_acked(stripe_index)}/{goal} bytes; "
-            f"awaiting resume"
-        )
-    return False
-
-
 class SinkServer(_Server):
     """Terminates LSL sessions; stores payloads keyed by session id."""
 
@@ -1263,8 +1082,6 @@ class SinkServer(_Server):
         self.headers: dict[str, SessionHeader] = {}
         self._lock = threading.Lock()
         self.errors: list = []
-        self._ledgers: dict[str, SessionLedger] = {}
-        self._ledger_lock = threading.Lock()
         super().__init__(
             host,
             port,
@@ -1284,83 +1101,21 @@ class SinkServer(_Server):
         self.obs.counter(
             "lsl_sessions_total", labels={"node": self.name}
         ).inc()
-        resume = header.option(ResumeOffset)
-        if header.option(StripeOption) is not None and resume is None:
-            raise ValueError(
-                f"striped session {header.hex_id} lacks a resume option"
-            )
-        if resume is not None:
-            self._receive_resumable(conn, header, resume)
+        resume = self._resume_of(header)
+        if resume is None:
+            self._store(header, self._read_to_eof(conn, header))
             return
-        watch = (
-            self.fault_plan.stream_watch(self.name)
-            if self.fault_plan is not None
-            else None
-        )
-        rx = self.obs.counter(
-            "lsl_rx_bytes_total", labels={"node": self.name}
-        )
-        chunks = bytearray()
-        while True:
-            data = conn.recv(_IO_CHUNK)
-            if not data:
-                break
-            if watch is not None:
-                rule = watch.advance(len(data))
-                if rule is not None:
-                    if rule.kind is FaultKind.STALL:
-                        time.sleep(rule.delay)
-                    elif rule.kind is FaultKind.DROP:
-                        _abort_socket(conn)
-                        raise TruncatedStream(f"injected drop at {self.name}")
-            if not chunks:
-                self.timeline.record(
-                    "first_byte", node=self.name, stream=STREAM_UP,
-                    session=header.hex_id, nbytes=len(data),
-                )
-            chunks += data
-            rx.inc(len(data))
-        self.timeline.record(
-            "eof", node=self.name, stream=STREAM_UP,
-            session=header.hex_id, nbytes=len(chunks),
-        )
+
+        def complete(ledger: SessionLedger) -> None:
+            self._store(header, ledger.data)
+            self._evict_ledger(header.hex_id)
+
+        self._receive_resumable(conn, header, resume, complete)
+
+    def _store(self, header: SessionHeader, payload: bytes) -> None:
         with self._lock:
-            self.payloads[header.hex_id] = bytes(chunks)
+            self.payloads[header.hex_id] = payload
             self.headers[header.hex_id] = header
-
-    def _receive_resumable(
-        self, conn: socket.socket, header: SessionHeader, resume: ResumeOffset
-    ) -> None:
-        stripe = header.option(StripeOption)
-        stripes = 1 if stripe is None else stripe.count
-        block = 16 << 10 if stripe is None else stripe.block
-        with self._ledger_lock:
-            ledger = self._ledgers.get(header.hex_id)
-            if ledger is None:
-                ledger = SessionLedger(resume.total, stripes=stripes,
-                                       block=block)
-                self._ledgers[header.hex_id] = ledger
-            elif not ledger.matches(stripes, block):
-                raise ValueError(
-                    f"session {header.hex_id} stripe layout mismatch: "
-                    f"ledger x{ledger.stripes}/block {ledger.block}, "
-                    f"connection x{stripes}/block {block}"
-                )
-
-        def store(data: bytes) -> None:
-            with self._lock:
-                self.payloads[header.hex_id] = data
-                self.headers[header.hex_id] = header
-
-        if stripe is None:
-            done = _receive_into_ledger(self, conn, header, ledger, store)
-        else:
-            done = _receive_stripe_into_ledger(
-                self, conn, header, ledger, stripe.index, store
-            )
-        if done:
-            with self._ledger_lock:
-                self._ledgers.pop(header.hex_id, None)
 
     def staged_bytes(self, session_id_hex: str) -> int:
         """Bytes durably received for an (incomplete) session."""
@@ -1384,10 +1139,12 @@ def _stripe_slice(
 ) -> bytes:
     """Stripe ``index``'s interleaved slice of ``payload``.
 
-    The gather mirror of :meth:`SessionLedger.append_stripe`'s scatter:
-    every ``block``-sized block ``j`` with ``j % count == index``, in
-    order.
+    Every ``block``-sized block ``j`` with ``j % count == index``, in
+    order — the layout :class:`SessionLedger` interleaves back.  A
+    single stripe is the payload itself, not a copy.
     """
+    if count == 1:
+        return payload
     out = bytearray()
     for start in range(index * block, len(payload), count * block):
         out += payload[start : start + block]
@@ -1401,7 +1158,8 @@ class SendReport:
     Attributes
     ----------
     attempts:
-        Connections opened (``stripes`` = no failure: one per sublink).
+        Connection attempts, summed over stripes: each stripe's failed
+        attempts plus its one that succeeded (``stripes`` = no failure).
     retransmitted:
         Payload bytes this source sent more than once.
     payload_bytes:
@@ -1444,7 +1202,8 @@ def send_session(
     sublinks (always fault-tolerant): the per-stripe resume handshakes
     happen serially — one blocking header+ack round trip each — and the
     interleaved slices then stream concurrently, each stripe retrying
-    and resuming at its own watermark.
+    and resuming at its own watermark.  A plain fault-tolerant send is
+    the one-stripe case and runs on the caller's thread.
 
     Raises
     ------
@@ -1456,44 +1215,18 @@ def send_session(
     check_positive_int("stripe_block", stripe_block)
     obs = registry if registry is not None else NULL_REGISTRY
     tl = timeline if timeline is not None else DISABLED_TIMELINE
-    tx = obs.counter("lsl_tx_bytes_total", labels={"node": source_name})
     resume = header.option(ResumeOffset)
-    if stripes > 1:
-        if header.option(StripeOption) is not None:
-            raise ValueError(
-                "send_session attaches stripe options itself; the header "
-                "must not already carry one"
-            )
-        if resume is None:
-            header = header.with_options(
-                header.options + (ResumeOffset(total=len(payload)),)
-            )
-        elif resume.total != len(payload):
-            raise ValueError(
-                f"resume option total {resume.total} != payload "
-                f"{len(payload)} bytes"
-            )
-        return _striped_send(
-            payload, header, first_hop, chunk_size,
-            retry or RetryPolicy(), fault_plan, source_name, obs, tl,
-            stripes, stripe_block,
+    if stripes > 1 and header.option(StripeOption) is not None:
+        raise ValueError(
+            "send_session attaches stripe options itself; the header "
+            "must not already carry one"
         )
-    if retry is None and resume is None:
+    if stripes == 1 and retry is None and resume is None:
         # legacy fire-and-forget: no resume protocol, but the initial
         # connect still gets the default policy's timeout and budget
+        tx = obs.counter("lsl_tx_bytes_total", labels={"node": source_name})
         with _connect_with_retry(first_hop, RetryPolicy()) as sock:
-            tl.record(
-                "connect", node=source_name, stream=STREAM_DOWN,
-                session=header.hex_id,
-            )
-            tl.record(
-                "header_tx", node=source_name, stream=STREAM_DOWN,
-                session=header.hex_id,
-            )
-            encoded = header.encode()
-            if fault_plan is not None:
-                encoded = fault_plan.corrupt_header(source_name, encoded)
-            sock.sendall(encoded)
+            _emit_header(sock, header, source_name, tl, fault_plan)
             for off in range(0, len(payload), chunk_size):
                 chunk = payload[off : off + chunk_size]
                 sock.sendall(chunk)
@@ -1503,8 +1236,6 @@ def send_session(
             session=header.hex_id, nbytes=len(payload),
         )
         return None
-
-    policy = retry or RetryPolicy()
     if resume is None:
         header = header.with_options(
             header.options + (ResumeOffset(total=len(payload)),)
@@ -1514,109 +1245,19 @@ def send_session(
             f"resume option total {resume.total} != payload "
             f"{len(payload)} bytes"
         )
-    report = SendReport(payload_bytes=len(payload))
-    attempts = 0
-    t0 = time.monotonic()
-    while True:
-        try:
-            _attempt_resumable_send(
-                payload, header, first_hop, chunk_size, policy,
-                fault_plan, source_name, report, obs, tl,
-            )
-            report.attempts = attempts + 1
-            tl.record(
-                "complete", node=source_name, stream=STREAM_DOWN,
-                session=header.hex_id, nbytes=len(payload),
-            )
-            elapsed = time.monotonic() - t0
-            obs.histogram(
-                "lsl_session_seconds", labels={"node": source_name}
-            ).observe(elapsed)
-            if elapsed > 0:
-                obs.gauge(
-                    "lsl_session_throughput_bytes_per_sec",
-                    labels={"node": source_name},
-                ).set(len(payload) / elapsed)
-            return report
-        except (ConnectionError, OSError) as exc:
-            attempts += 1
-            if attempts > policy.max_retries:
-                tl.record(
-                    "error", node=source_name, stream=STREAM_DOWN,
-                    session=header.hex_id, detail=str(exc),
-                )
-                raise RetryExhausted(
-                    f"session {header.hex_id} failed after "
-                    f"{policy.max_retries} retries: {exc}"
-                ) from exc
-            time.sleep(policy.delay(attempts - 1))
-
-
-def _attempt_resumable_send(
-    payload: bytes,
-    header: SessionHeader,
-    first_hop: tuple[str, int],
-    chunk_size: int,
-    policy: RetryPolicy,
-    fault_plan: FaultPlan | None,
-    source_name: str,
-    report: SendReport,
-    obs: Registry = NULL_REGISTRY,
-    tl: SessionTimeline = DISABLED_TIMELINE,
-) -> None:
-    """One connection's worth of the resume protocol, source side."""
-    tx = obs.counter("lsl_tx_bytes_total", labels={"node": source_name})
-    with socket.create_connection(
-        first_hop, timeout=policy.connect_timeout
-    ) as sock:
-        sock.settimeout(policy.io_timeout)
-        _cap_buffers(sock)
-        tl.record(
-            "connect", node=source_name, stream=STREAM_DOWN,
-            session=header.hex_id,
-        )
-        tl.record(
-            "header_tx", node=source_name, stream=STREAM_DOWN,
-            session=header.hex_id,
-        )
-        encoded = header.encode()
-        if fault_plan is not None:
-            encoded = fault_plan.corrupt_header(source_name, encoded)
-        sock.sendall(encoded)
-        start = RESUME_ACK.unpack(_read_exact(sock, RESUME_ACK.size))[0]
-        if start > len(payload):
-            raise ValueError(
-                f"peer acknowledged {start} bytes of a "
-                f"{len(payload)}-byte payload"
-            )
-        if start > 0:
-            tl.record(
-                "resume", node=source_name, stream=STREAM_DOWN,
-                session=header.hex_id, nbytes=start,
-            )
-        previous_high = report.high_water
-        for off in range(start, len(payload), chunk_size):
-            chunk = payload[off : off + chunk_size]
-            sock.sendall(chunk)
-            tx.inc(len(chunk))
-            end = off + len(chunk)
-            report.retransmitted += max(0, min(end, previous_high) - off)
-            report.high_water = max(report.high_water, end)
-        sock.shutdown(socket.SHUT_WR)
-        final = RESUME_ACK.unpack(_read_exact(sock, RESUME_ACK.size))[0]
-        if final != len(payload):
-            raise TruncatedStream(
-                f"sink acknowledged {final} of {len(payload)} bytes"
-            )
+    return _striped_send(
+        payload, header, first_hop, chunk_size, retry or RetryPolicy(),
+        fault_plan, source_name, obs, tl, stripes, stripe_block,
+    )
 
 
 class _StripeWorker:
-    """Source side of one striped sublink.
+    """Source side of one stripe of a fault-tolerant session.
 
-    :meth:`handshake` (run serially by :func:`_striped_send`) opens the
-    connection and performs the header+ack round trip; :meth:`run` (one
-    thread per stripe) streams the slice from the acknowledged offset,
-    transparently re-handshaking on failure under the retry policy.
+    :meth:`handshake` opens the connection and performs the header+ack
+    round trip; :meth:`run` streams the slice from the acknowledged
+    offset, transparently re-handshaking on failure under the retry
+    policy.
     """
 
     def __init__(
@@ -1631,6 +1272,7 @@ class _StripeWorker:
         obs: Registry,
         tl: SessionTimeline,
         index: int,
+        count: int,
     ) -> None:
         self._slice = payload_slice
         self._header = header
@@ -1644,13 +1286,14 @@ class _StripeWorker:
             "lsl_tx_bytes_total", labels={"node": source_name}
         )
         self.index = index
-        self.connects = 0
+        self._detail = _stripe_detail(index, count)
+        #: failed connection attempts, each followed by a backoff
+        self.failures = 0
         self.retransmitted = 0
         self.high_water = 0
         self.error: Exception | None = None
         self._sock: socket.socket | None = None
         self._start = 0
-        self._failures = 0
 
     def _drop(self) -> None:
         if self._sock is not None:
@@ -1662,77 +1305,32 @@ class _StripeWorker:
 
     def _failure(self, exc: Exception) -> None:
         self._drop()
-        self._failures += 1
-        if self._failures > self._policy.max_retries:
-            raise RetryExhausted(
-                f"session {self._header.hex_id} stripe {self.index} failed "
-                f"after {self._policy.max_retries} retries: {exc}"
-            ) from exc
-        time.sleep(self._policy.delay(self._failures - 1))
-
-    def _connect(self) -> None:
-        sock = socket.create_connection(
-            self._first_hop, timeout=self._policy.connect_timeout
+        self.failures += 1
+        where = f" stripe {self.index}" if self._detail else ""
+        _pause_before_retry(
+            self._policy, self.failures,
+            f"session {self._header.hex_id}{where}", exc,
         )
-        try:
-            sock.settimeout(self._policy.io_timeout)
-            _cap_buffers(sock)
-            self._tl.record(
-                "connect", node=self._source_name, stream=STREAM_DOWN,
-                session=self._header.hex_id,
-            )
-            self._tl.record(
-                "header_tx", node=self._source_name, stream=STREAM_DOWN,
-                session=self._header.hex_id,
-            )
-            encoded = self._header.encode()
-            if self._fault_plan is not None:
-                encoded = self._fault_plan.corrupt_header(
-                    self._source_name, encoded
-                )
-            sock.sendall(encoded)
-            ack = RESUME_ACK.unpack(_read_exact(sock, RESUME_ACK.size))[0]
-        except BaseException:
-            try:
-                sock.close()
-            except OSError:
-                pass
-            raise
-        if ack > len(self._slice):
-            try:
-                sock.close()
-            except OSError:
-                pass
-            raise ValueError(
-                f"stripe {self.index} peer acknowledged {ack} bytes of a "
-                f"{len(self._slice)}-byte slice"
-            )
-        if ack > 0:
-            self._tl.record(
-                "resume", node=self._source_name, stream=STREAM_DOWN,
-                session=self._header.hex_id, nbytes=ack,
-                detail=f"stripe={self.index}",
-            )
-        self._sock = sock
-        self._start = ack
-        self.connects += 1
 
     def handshake(self) -> None:
         """Connect and complete the header+ack round trip (with retry)."""
         while self._sock is None:
             try:
-                self._connect()
+                self._sock, self._start = _open_resumable(
+                    self._first_hop, self._header, len(self._slice),
+                    self._policy, self._source_name, self._tl,
+                    self._fault_plan, self._detail,
+                )
             except (ConnectionError, OSError) as exc:
                 self._failure(exc)
 
     def run(self) -> None:
-        """Stream the slice to completion; stores failures in ``error``."""
+        """Stream the slice to completion; stores a failure in ``error``."""
         try:
             while True:
+                self.handshake()
+                sock = self._sock
                 try:
-                    if self._sock is None:
-                        self._connect()
-                    sock = self._sock
                     for off in range(self._start, len(self._slice),
                                      self._chunk):
                         chunk = self._slice[off : off + self._chunk]
@@ -1749,19 +1347,19 @@ class _StripeWorker:
                     )[0]
                     if final != len(self._slice):
                         raise TruncatedStream(
-                            f"stripe {self.index} acknowledged {final} of "
-                            f"{len(self._slice)} bytes"
+                            f"peer acknowledged {final} of "
+                            f"{len(self._slice)} bytes {self._detail}".rstrip()
                         )
                     return
                 except (ConnectionError, OSError) as exc:
                     self._failure(exc)
         except Exception as exc:
-            # held for _striped_send to re-raise after every thread joins
+            # held for _striped_send to re-raise once every stripe ended
             self.error = exc
+            detail = f"{self._detail}: {exc}" if self._detail else str(exc)
             self._tl.record(
                 "error", node=self._source_name, stream=STREAM_DOWN,
-                session=self._header.hex_id,
-                detail=f"stripe={self.index}: {exc}",
+                session=self._header.hex_id, detail=detail,
             )
         finally:
             self._drop()
@@ -1780,47 +1378,55 @@ def _striped_send(
     stripes: int,
     block: int,
 ) -> SendReport:
-    """Drive one session over N striped sublinks (source side)."""
+    """Drive one fault-tolerant session over ``stripes`` sublinks.
+
+    A plain session is one stripe, run on the caller's thread; more
+    stripes get one thread each once their handshakes are done.
+    """
     workers = [
         _StripeWorker(
             _stripe_slice(payload, k, stripes, block),
-            header.with_options(
+            header if stripes == 1 else header.with_options(
                 header.options
                 + (StripeOption(index=k, count=stripes, block=block),)
             ),
             first_hop, chunk_size, policy, fault_plan, source_name,
-            obs, tl, k,
+            obs, tl, k, stripes,
         )
         for k in range(stripes)
     ]
     t0 = time.monotonic()
-    try:
-        # Serialized handshakes: one blocking header+ack round trip per
-        # stripe, the setup cost the striped transfer-time model prices.
-        for worker in workers:
-            worker.handshake()
-    except BaseException:
-        for worker in workers:
-            worker._drop()
-        raise
-    threads = [
-        threading.Thread(
-            target=worker.run,
-            name=f"lsl:{source_name}:stripe{worker.index}",
-            daemon=True,
-        )
-        for worker in workers
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    if stripes == 1:
+        workers[0].run()
+    else:
+        try:
+            # Serialized handshakes: one blocking header+ack round trip
+            # per stripe, the setup cost the striped transfer-time model
+            # prices.
+            for worker in workers:
+                worker.handshake()
+        except BaseException:
+            for worker in workers:
+                worker._drop()
+            raise
+        threads = [
+            threading.Thread(
+                target=worker.run,
+                name=f"lsl:{source_name}:stripe{worker.index}",
+                daemon=True,
+            )
+            for worker in workers
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
     errors = [w.error for w in workers if w.error is not None]
     if errors:
         # each failed stripe already recorded its own "error" event
         raise errors[0]
     report = SendReport(
-        attempts=sum(w.connects for w in workers),
+        attempts=sum(w.failures + 1 for w in workers),
         retransmitted=sum(w.retransmitted for w in workers),
         payload_bytes=len(payload),
         high_water=sum(w.high_water for w in workers),
@@ -1828,7 +1434,7 @@ def _striped_send(
     tl.record(
         "complete", node=source_name, stream=STREAM_DOWN,
         session=header.hex_id, nbytes=len(payload),
-        detail=f"stripes={stripes}",
+        detail=f"stripes={stripes}" if stripes > 1 else "",
     )
     elapsed = time.monotonic() - t0
     obs.histogram(

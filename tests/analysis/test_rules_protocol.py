@@ -7,28 +7,25 @@ from repro.analysis import run_paths
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-#: the legacy fire-and-forget connect/header_tx narration in
-#: ``relay_transfer`` — swapped by the seeded-mutation test
+#: the connect/header_tx narration in ``_emit_header``, which every
+#: sender (source and depot, legacy and resumable) goes through —
+#: swapped by the seeded-mutation test
 ORDERED_RECORDS = '''\
-            tl.record(
-                "connect", node=source_name, stream=STREAM_DOWN,
-                session=header.hex_id,
-            )
-            tl.record(
-                "header_tx", node=source_name, stream=STREAM_DOWN,
-                session=header.hex_id,
-            )
+    tl.record(
+        "connect", node=node, stream=STREAM_DOWN, session=header.hex_id,
+    )
+    tl.record(
+        "header_tx", node=node, stream=STREAM_DOWN, session=header.hex_id,
+    )
 '''
 
 SWAPPED_RECORDS = '''\
-            tl.record(
-                "header_tx", node=source_name, stream=STREAM_DOWN,
-                session=header.hex_id,
-            )
-            tl.record(
-                "connect", node=source_name, stream=STREAM_DOWN,
-                session=header.hex_id,
-            )
+    tl.record(
+        "header_tx", node=node, stream=STREAM_DOWN, session=header.hex_id,
+    )
+    tl.record(
+        "connect", node=node, stream=STREAM_DOWN, session=header.hex_id,
+    )
 '''
 
 

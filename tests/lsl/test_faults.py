@@ -9,6 +9,7 @@ source.
 """
 
 import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,7 +25,12 @@ from repro.lsl.faults import (
 )
 from repro.lsl.header import SessionHeader, new_session_id
 from repro.lsl.options import LooseSourceRoute
-from repro.lsl.socket_transport import DepotServer, SinkServer, send_session
+from repro.lsl.socket_transport import (
+    DepotServer,
+    SinkServer,
+    TruncatedStream,
+    send_session,
+)
 from repro.util.rng import RngStream
 
 
@@ -298,6 +304,43 @@ class TestFaultMatrixRecovered:
         if expected_attempts(site, kind) == 1:
             # the fault was absorbed downstream: the source resent nothing
             assert report.retransmitted == 0
+
+
+class TestLegacyStreamFaults:
+    """Fire-and-forget sessions that terminate at a node honour the
+    plan's stream rules too: a sink and a depot parking a session
+    addressed to it read to EOF through the same fault watch."""
+
+    @pytest.mark.parametrize("role", ["sink", "parking-depot"])
+    def test_drop_stores_nothing(self, role):
+        payload = RngStream(21, role).generator.bytes(256 << 10)
+        plan = FaultPlan([FaultRule(role, FaultKind.DROP, after_bytes=64 << 10)])
+        if role == "sink":
+            server = SinkServer(name=role, fault_plan=plan)
+            stored = server.payloads
+        else:
+            server = DepotServer(name=role, fault_plan=plan)
+            stored = server.held
+        try:
+            header = SessionHeader(
+                session_id=new_session_id(),
+                src_ip="127.0.0.1",
+                dst_ip="127.0.0.1",
+                src_port=0,
+                dst_port=server.port,
+            )
+            try:
+                send_session(payload, header, server.address)
+            except OSError:
+                pass  # the reset may reach the sender mid-payload
+            deadline = time.monotonic() + 10
+            while not server.errors and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            server.close()
+        assert plan.fired == [(role, FaultKind.DROP)]
+        assert any(isinstance(e, TruncatedStream) for e in server.errors)
+        assert stored == {}
 
 
 class TestFaultMatrixExhausted:

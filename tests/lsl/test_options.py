@@ -247,14 +247,20 @@ class TestStripeOption:
             decode_options(bytes(wire[: 3 + 4]))
 
     @given(
-        index=st.integers(min_value=0, max_value=0xFFFE),
-        extra=st.integers(min_value=1, max_value=0xFF),
+        # count in 1..0xFFFF first, then an index below it: every drawn
+        # layout is one StripeOption accepts
+        layout=st.integers(min_value=1, max_value=0xFFFF).flatmap(
+            lambda count: st.tuples(
+                st.integers(min_value=0, max_value=count - 1), st.just(count)
+            )
+        ),
         block=st.integers(min_value=1, max_value=0xFFFF_FFFF),
     )
-    def test_roundtrip_property(self, index, extra, block):
+    def test_roundtrip_property(self, layout, block):
         from repro.lsl.options import StripeOption
 
-        opt = StripeOption(index=index, count=index + extra, block=block)
+        index, count = layout
+        opt = StripeOption(index=index, count=count, block=block)
         assert decode_options(encode_options([opt])) == [opt]
 
 

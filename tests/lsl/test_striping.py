@@ -1,12 +1,17 @@
-"""Striped sublinks: ledger scatter/gather units and socket e2e.
+"""Striped sublinks: ledger staging/interleave units and socket e2e.
 
 GridFTP-style striping opens N parallel connections per hop, each
 carrying the interleaved block slice ``j % count == index``.  The
-ledger reassembles the slices positionally, so these tests hammer the
-scatter/gather arithmetic first, then run real striped sessions through
+ledger stages each slice per stripe and interleaves them back once the
+session is complete, so these tests hammer the slice and interleave
+arithmetic first, then run real striped sessions through
 a loopback relay — including a mid-stream stripe kill that must resume
 from that stripe's own watermark without disturbing its siblings.
 """
+
+import sys
+import threading
+import tracemalloc
 
 import pytest
 
@@ -126,12 +131,56 @@ class TestStripedLedger:
         with pytest.raises(ValueError):
             ledger.append(0, b"x")
 
-    def test_stripe_api_raises_on_plain_ledger(self):
-        ledger = SessionLedger(1000)
-        with pytest.raises(ValueError):
-            ledger.claim_stripe(0)
-        with pytest.raises(ValueError):
-            ledger.stripe_total(0)
+    def test_memory_follows_bytes_received(self):
+        """A header's claimed total reserves nothing: a 64 MiB two-stripe
+        ledger that has received 4 KiB per stripe holds about 8 KiB."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ledger = SessionLedger(64 << 20, stripes=2)
+            for k in range(2):
+                gen, _ = ledger.claim_stripe(k)
+                assert ledger.append_stripe(k, gen, b"x" * (4 << 10))
+            used = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert ledger.acked == 8 << 10
+        assert used < 1 << 20
+
+    def test_concurrent_stripe_appends_reassemble(self):
+        """One thread per stripe, each reconnecting midway, with a short
+        switch interval: no append is lost or misplaced."""
+        stripes, block = 6, 512
+        payload = payload_bytes(200_000)
+        ledger = SessionLedger(len(payload), stripes=stripes, block=block)
+
+        def deliver(k):
+            data = _stripe_slice(payload, k, stripes, block)
+            half = len(data) // 2
+            gen, _ = ledger.claim_stripe(k)
+            for off in range(0, half, 700):
+                assert ledger.append_stripe(k, gen, data[off : min(off + 700, half)])
+            gen, acked = ledger.claim_stripe(k)
+            assert acked == half
+            for off in range(acked, len(data), 700):
+                assert ledger.append_stripe(k, gen, data[off : off + 700])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=deliver, args=(k,))
+                for k in range(stripes)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert ledger.acked == len(payload)
+        assert ledger.data == payload
 
     def test_stripe_index_bounds_checked(self):
         ledger = self.make(stripes=2)
