@@ -72,20 +72,29 @@ def test_staging_tree_shapes(benchmark):
 
 
 def test_staging_replication_is_byte_exact_at_scale(benchmark):
-    """End-to-end engine check: a binary staging tree over real depot
-    engines replicates a multi-megabyte payload exactly."""
-    from repro.lsl.depot import Depot, DepotConfig
-    from repro.lsl.multicast import simulate_staging
+    """End-to-end depot check: a binary staging tree of loopback
+    depots replicates a multi-megabyte payload exactly."""
+    from repro.lsl.multicast_failover import MulticastFailoverSender
+    from repro.lsl.socket_transport import DepotServer
     from repro.util.rng import RngStream
 
     payload = RngStream(17).generator.bytes(2 << 20)
 
     def run():
-        engines = {
-            addr: Depot(DepotConfig(name=str(addr))) for addr in ADDRS
-        }
-        return simulate_staging(binary(), engines, payload)
+        depots = [DepotServer(name=f"stage-{i}") for i in range(len(ADDRS))]
+        try:
+            tree = StagingTree(
+                nodes=tuple(
+                    (parent, "127.0.0.1", depots[i].port)
+                    for i, (parent, _, _) in enumerate(binary().nodes)
+                )
+            )
+            staged = MulticastFailoverSender(tree).stage(payload)
+            return [depot.held.get(staged.session) for depot in depots]
+        finally:
+            for depot in depots:
+                depot.close()
 
     received = benchmark.pedantic(run, rounds=1, iterations=1)
     assert len(received) == len(ADDRS)
-    assert all(copy == payload for copy in received.values())
+    assert all(copy == payload for copy in received)

@@ -15,8 +15,9 @@ from repro import (
     NetworkSimulator,
     mb,
 )
-from repro.lsl.depot import Depot, DepotConfig
-from repro.lsl.multicast import StagingTree, simulate_staging, staging_time_model
+from repro.lsl.multicast import StagingTree, staging_time_model
+from repro.lsl.multicast_failover import MulticastFailoverSender
+from repro.lsl.socket_transport import DepotServer
 from repro.testbed.abilene import abilene_testbed
 from repro.util.rng import RngStream
 from repro.util.units import format_rate
@@ -71,21 +72,21 @@ def main() -> None:
         print(f"direct is already optimal: {d.duration:.1f} s")
 
     # ---- replicate to three more sites with a staging tree ----------------
+    # one loopback depot per site: the consumer is the tree's root
     replicas = testbed.depot_hosts[:3]
-    addresses = {h: (f"10.0.0.{i + 1}", 9000) for i, h in enumerate(
-        [consumer, *replicas]
-    )}
-    tree = StagingTree.from_parent_map(
-        addresses[consumer],
-        {addresses[consumer]: [addresses[r] for r in replicas]},
-    )
-    engines = {
-        addr: Depot(DepotConfig(name=host))
-        for host, addr in addresses.items()
-    }
-    payload = bytes(RngStream(3).generator.bytes(1 << 20))  # a 1 MB sample
-    received = simulate_staging(tree, engines, payload)
-    ok = all(copy == payload for copy in received.values())
+    depots = [DepotServer(name=host) for host in [consumer, *replicas]]
+    try:
+        tree = StagingTree.from_parent_map(
+            depots[0].address,
+            {depots[0].address: [d.address for d in depots[1:]]},
+        )
+        payload = bytes(RngStream(3).generator.bytes(1 << 20))  # a 1 MB sample
+        staged = MulticastFailoverSender(tree).stage(payload)
+        received = [depot.held.get(staged.session) for depot in depots]
+    finally:
+        for depot in depots:
+            depot.close()
+    ok = all(copy == payload for copy in received)
     print(f"\nstaged 1 MB sample to {len(received)} sites, byte-exact: {ok}")
 
     t = staging_time_model(

@@ -58,7 +58,6 @@ from repro.net.tcp import TcpConfig
 from repro.nws.matrix import CliqueAggregator, PerformanceMatrix
 from repro.lsl.header import SessionHeader, SessionType, new_session_id
 from repro.lsl.routetable import RouteTable
-from repro.lsl.depot import Depot, DepotConfig
 from repro.models.transfer_time import effective_bandwidth, transfer_time
 from repro.models.relay import relay_effective_bandwidth, relay_transfer_time
 from repro.testbed.planetlab import PlanetLabConfig, generate_planetlab
@@ -91,8 +90,6 @@ __all__ = [
     "SessionType",
     "new_session_id",
     "RouteTable",
-    "Depot",
-    "DepotConfig",
     "effective_bandwidth",
     "transfer_time",
     "relay_effective_bandwidth",

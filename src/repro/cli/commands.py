@@ -255,9 +255,7 @@ def cmd_depot(args) -> int:
 def cmd_send(args) -> int:
     """Send a file through LSL depots to a sink."""
     from repro.lsl.faults import RetryPolicy
-    from repro.lsl.header import SessionHeader, new_session_id
-    from repro.lsl.options import LooseSourceRoute
-    from repro.lsl.socket_transport import send_session
+    from repro.lsl.socket_transport import route_header, send_session
 
     metrics_path = getattr(args, "metrics", None)
     registry = timeline = None
@@ -269,18 +267,7 @@ def cmd_send(args) -> int:
         payload = fh.read()
     sink = parse_endpoint(args.to)
     hops = [parse_endpoint(h) for h in args.via.split(",") if h]
-    options = ()
-    if len(hops) > 1:
-        options = (LooseSourceRoute(hops=tuple(hops[1:])),)
-    header = SessionHeader(
-        session_id=new_session_id(),
-        src_ip="127.0.0.1",
-        dst_ip=sink[0],
-        src_port=0,
-        dst_port=sink[1],
-        options=options,
-    )
-    first_hop = hops[0] if hops else sink
+    header, first_hop = route_header(sink, hops)
     retry = RetryPolicy() if getattr(args, "resume", False) else None
     report = send_session(
         payload,

@@ -11,16 +11,17 @@ Section 2 of the paper: a session-layer protocol binding one end-to-end
   LSRR) and the synchronous multicast staging tree;
 * :mod:`~repro.lsl.routetable` — destination/next-hop tables produced by
   the scheduler and consumed by depots for hop-by-hop forwarding;
-* :mod:`~repro.lsl.depot` — the transport-agnostic depot engine: session
-  admission, bounded per-session buffers, forwarding decisions;
-* :mod:`~repro.lsl.session` — source and sink endpoints and the session
-  state machine;
-* :mod:`~repro.lsl.multicast` — the application-layer multicast staging
-  tree carried as a header option;
-* :mod:`~repro.lsl.socket_transport` — a real-TCP (localhost)
-  implementation used for functional integration tests.  Performance
+* :mod:`~repro.lsl.socket_transport` — the depot and its endpoints over
+  real TCP (localhost).  ``DepotServer`` is the one depot: it forwards
+  sessions, parks those addressed to it and serves their pickup (§2's
+  asynchronous sessions, claimed with :func:`pickup_header`);
+  ``SinkServer`` terminates sessions; the source builds its header
+  with ``route_header`` and sends with ``send_session``.  Performance
   experiments run on the simulator (:mod:`repro.net`) instead, where
   BDP effects exist;
+* :mod:`~repro.lsl.multicast` — the application-layer multicast staging
+  tree carried as a header option; :mod:`~repro.lsl.multicast_failover`
+  stages a payload down it over real depots;
 * :mod:`~repro.lsl.health` — the depot health control plane: liveness
   probes, per-depot circuit breakers, heartbeat monitoring;
 * :mod:`~repro.lsl.failover` — automatic mid-transfer failover over
@@ -60,10 +61,8 @@ from repro.lsl.health import (
 )
 from repro.lsl.failover import FailoverReport, FailoverSender, NoRouteLeft
 from repro.lsl.routetable import RouteTable
-from repro.lsl.depot import Depot, DepotConfig, ForwardingDecision, SessionState
-from repro.lsl.session import SourceEndpoint, SinkEndpoint
-from repro.lsl.async_session import deposit, pickup, pickup_header
-from repro.lsl.multicast import StagingTree, simulate_staging
+from repro.lsl.socket_transport import pickup_header
+from repro.lsl.multicast import StagingTree
 
 __all__ = [
     "LSL_VERSION",
@@ -93,15 +92,6 @@ __all__ = [
     "FailoverSender",
     "NoRouteLeft",
     "RouteTable",
-    "Depot",
-    "DepotConfig",
-    "ForwardingDecision",
-    "SessionState",
-    "SourceEndpoint",
-    "SinkEndpoint",
-    "deposit",
-    "pickup",
     "pickup_header",
     "StagingTree",
-    "simulate_staging",
 ]

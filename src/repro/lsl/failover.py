@@ -33,8 +33,8 @@ from repro.core.scheduler import LogisticalScheduler, ScheduleDecision
 from repro.lsl.faults import FaultPlan, RetryExhausted, RetryPolicy
 from repro.lsl.header import SessionHeader, new_session_id
 from repro.lsl.health import HealthMonitor
-from repro.lsl.options import LooseSourceRoute, ResumeOffset
-from repro.lsl.socket_transport import SendReport, send_session
+from repro.lsl.options import ResumeOffset
+from repro.lsl.socket_transport import SendReport, route_header, send_session
 from repro.obs.registry import NULL_REGISTRY, Registry
 from repro.obs.timeline import DISABLED_TIMELINE, STREAM_DOWN, SessionTimeline
 
@@ -164,21 +164,13 @@ class FailoverSender:
         belongs to the same session — that is what lets depots shared
         between the old and new routes resume from their ledgers.
         """
-        hop_addrs = [self._address(h) for h in route[1:]]
-        first_hop = hop_addrs[0]
-        dst_ip, dst_port = hop_addrs[-1]
-        options = [ResumeOffset(total=total)]
-        if len(hop_addrs) > 1:
-            options.insert(0, LooseSourceRoute(hops=tuple(hop_addrs[1:])))
-        header = SessionHeader(
+        *depots, dst = [self._address(h) for h in route[1:]]
+        return route_header(
+            dst,
+            depots,
             session_id=session_id,
-            src_ip="127.0.0.1",
-            dst_ip=dst_ip,
-            src_port=0,
-            dst_port=dst_port,
-            options=tuple(options),
+            options=(ResumeOffset(total=total),),
         )
-        return header, first_hop
 
     def _breaker_blocked(self, route: list[str]) -> set[str]:
         """Intermediate hosts on ``route`` whose breakers deny traffic."""

@@ -7,11 +7,12 @@ so every leaf site receives a copy while each wide-area link carries the
 payload exactly once.
 
 :class:`StagingTree` is the in-memory tree model convertible to/from the
-wire option; :func:`simulate_staging` executes a staging operation over
-real :class:`~repro.lsl.depot.Depot` engines; :func:`staging_time_model`
-estimates the synchronous completion time over a
-:class:`~repro.net.topology.Topology` using the analytic transfer models
-(pipelined: a node forwards as it receives).
+wire option; :func:`staging_time_model` estimates the synchronous
+completion time over a :class:`~repro.net.topology.Topology` using the
+analytic transfer models (pipelined: a node forwards as it receives).
+:class:`~repro.lsl.multicast_failover.MulticastFailoverSender` executes
+a staging operation over real
+:class:`~repro.lsl.socket_transport.DepotServer` nodes.
 """
 
 from __future__ import annotations
@@ -115,76 +116,6 @@ class StagingTree:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-
-def simulate_staging(
-    tree: StagingTree,
-    depots: dict[tuple[str, int], "object"],
-    payload: bytes,
-) -> dict[tuple[str, int], bytes]:
-    """Replicate ``payload`` down the tree through depot engines.
-
-    Every tree node's depot receives the full payload exactly once; each
-    depot forwards to its children by replaying its buffered bytes.
-    Returns the payload observed at each address (so tests can assert
-    byte-exact replication) and leaves every depot session closed.
-    """
-    if not payload:
-        raise ValueError("payload must be non-empty")
-    from repro.lsl.header import SessionHeader, SessionType, new_session_id
-
-    received: dict[tuple[str, int], bytes] = {}
-    session_root = new_session_id()
-
-    def stage_at(index: int, data: bytes) -> bytes:
-        addr = tree.address_of(index)
-        depot = depots.get(addr)
-        if depot is None:
-            raise KeyError(f"no depot engine at {addr}")
-        header = SessionHeader(
-            session_id=session_root,
-            src_ip="0.0.0.0",
-            dst_ip=addr[0],
-            src_port=0,
-            dst_port=addr[1],
-            session_type=SessionType.MULTICAST,
-        )
-        depot.admit(header, hold_for_pickup=True)
-        offset = 0
-        collected = bytearray()
-        while offset < len(data):
-            accepted = depot.write(session_root, data[offset : offset + (64 << 10)])
-            if accepted == 0:
-                # bounded pool: drain what we have into our local copy
-                chunk = depot.read(session_root, 64 << 10)
-                if not chunk:
-                    raise RuntimeError(f"staging stalled at {addr}")
-                collected += chunk
-                continue
-            offset += accepted
-        depot.finish_write(session_root)
-        while True:
-            chunk = depot.read(session_root, 64 << 10)
-            if not chunk:
-                break
-            collected += chunk
-        depot.evict(session_root)
-        copy = bytes(collected)
-        received[addr] = copy
-        return copy
-
-    # Iterative breadth-first delivery: a deep chain (thousands of tree
-    # levels) must not recurse once per level.
-    kids: dict[int, list[int]] = {}
-    for i, (parent, _, _) in enumerate(tree.nodes):
-        kids.setdefault(parent, []).append(i)
-    frontier: deque[tuple[int, bytes]] = deque([(0, payload)])
-    while frontier:
-        index, data = frontier.popleft()
-        copy = stage_at(index, data)
-        for child in kids.get(index, []):
-            frontier.append((child, copy))
-    return received
 
 
 def staging_time_model(

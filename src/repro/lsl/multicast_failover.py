@@ -1,9 +1,7 @@
 """Failover-aware multicast staging over real sockets.
 
-:func:`~repro.lsl.multicast.simulate_staging` replicates a payload down
-a staging tree through in-process depot engines; this module is the
-wire-level, fault-tolerant version.  :class:`MulticastFailoverSender`
-stages one session down a :class:`~repro.lsl.multicast.StagingTree` of
+:class:`MulticastFailoverSender` stages one session down a
+:class:`~repro.lsl.multicast.StagingTree` of
 :class:`~repro.lsl.socket_transport.DepotServer` nodes so that
 
 * every tree node receives the payload as a *parked*
@@ -45,8 +43,7 @@ from repro.lsl.faults import FaultPlan, RetryExhausted, RetryPolicy
 from repro.lsl.header import SessionHeader, SessionType, new_session_id
 from repro.lsl.health import HealthMonitor
 from repro.lsl.multicast import StagingTree
-from repro.lsl.options import LooseSourceRoute
-from repro.lsl.socket_transport import SendReport, send_session
+from repro.lsl.socket_transport import SendReport, route_header, send_session
 from repro.obs.registry import NULL_REGISTRY, Registry
 from repro.obs.timeline import DISABLED_TIMELINE, STREAM_DOWN, SessionTimeline
 
@@ -238,24 +235,12 @@ class MulticastFailoverSender:
         :class:`~repro.lsl.options.MulticastTreeOption` — the paper's
         Section-2 header option travelling with the session.
         """
-        node = self.tree.address_of(index)
-        first_hop = chain[0] if chain else node
-        options: list = []
-        if index == 0:
-            options.append(self.tree.to_option())
-        if len(chain) > 1:
-            options.append(LooseSourceRoute(hops=tuple(chain[1:])))
-        return (
-            SessionHeader(
-                session_id=session_id,
-                src_ip="127.0.0.1",
-                dst_ip=node[0],
-                src_port=0,
-                dst_port=node[1],
-                session_type=SessionType.MULTICAST,
-                options=tuple(options),
-            ),
-            first_hop,
+        return route_header(
+            self.tree.address_of(index),
+            chain,
+            session_id=session_id,
+            session_type=SessionType.MULTICAST,
+            options=(self.tree.to_option(),) if index == 0 else (),
         )
 
     # -- the staging loop --------------------------------------------------

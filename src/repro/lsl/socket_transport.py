@@ -5,14 +5,17 @@ LSL protocol" on stock Linux.  This module is the same thing scaled to a
 test box: every component runs on ``127.0.0.1`` with real sockets, real
 byte streams and the real wire format from :mod:`repro.lsl.header`.
 
-* :class:`DepotServer` — accepts a session, parses the header, advances
-  the loose source route (or consults a route table keyed by
-  ``ip:port`` strings), opens the onward connection and pumps bytes
-  through a bounded user-space buffer;
+* :class:`DepotServer` — the depot: accepts a session, parses the
+  header, advances the loose source route (or consults a route table
+  keyed by destination IP), opens the onward connection and pumps bytes
+  through a bounded user-space buffer; a session addressed to the depot
+  itself is parked and served to a later pickup;
 * :class:`SinkServer` — terminates sessions and stores payloads by
   session id;
 * :func:`send_session` — the source side: connect, emit header, stream
-  payload.
+  payload; :func:`route_header` builds the header and first hop of a
+  session through a chain of depots;
+* :func:`fetch_pickup` — claim a session parked at a depot.
 
 Fault tolerance
 ---------------
@@ -60,6 +63,7 @@ import socket
 import struct
 import threading
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.lsl.faults import (
@@ -70,8 +74,18 @@ from repro.lsl.faults import (
     SessionLedger,
     StreamWatch,
 )
-from repro.lsl.header import FIXED_HEADER_SIZE, SessionHeader, SessionType
-from repro.lsl.options import LooseSourceRoute, ResumeOffset, StripeOption
+from repro.lsl.header import (
+    FIXED_HEADER_SIZE,
+    SessionHeader,
+    SessionType,
+    new_session_id,
+)
+from repro.lsl.options import (
+    HeaderOption,
+    LooseSourceRoute,
+    ResumeOffset,
+    StripeOption,
+)
 from repro.obs.registry import NULL_REGISTRY, Registry
 from repro.obs.timeline import (
     DISABLED_TIMELINE,
@@ -776,17 +790,29 @@ class _DownstreamPump:
         self._drop_socket()
 
 
+def _parse_route(dst: str, hop: str) -> tuple[str, int]:
+    """``"ip:port"`` -> ``(ip, port)`` for the route-table entry ``dst``."""
+    ip, _, port = hop.rpartition(":")
+    if not (ip and port.isascii() and port.isdigit() and 0 < int(port) < 65536):
+        raise ValueError(
+            f"route_table entry {dst!r}: {hop!r}: expected 'ip:port' "
+            f"with a port in 1-65535"
+        )
+    return ip, int(port)
+
+
 class DepotServer(_Server):
-    """A forwarding depot on real sockets.
+    """The LSL depot on real sockets: forwards, parks, serves pickups.
 
     Parameters
     ----------
     host, port:
         Listen address (port 0 picks an ephemeral port).
     route_table:
-        Optional ``dest_ip -> next_hop_ip:port`` strings mapping used
-        when a session carries no loose source route.  Values are
-        ``"ip:port"``.
+        Optional ``dest_ip -> "next_hop_ip:port"`` mapping used when a
+        session's loose source route is absent or exhausted.  Each value
+        is parsed once, here; a value without an integer port in
+        1-65535 raises :class:`ValueError` naming the entry.
     buffer_size:
         User-space relay buffer per session, in bytes (the store in
         store-and-forward).  Fault-tolerant sessions instead stage up to
@@ -817,7 +843,11 @@ class DepotServer(_Server):
         # 0.5 used to truncate to recv(0), which reads as instant EOF
         # and silently drops the session payload.
         check_positive_int("buffer_size", buffer_size)
-        self.route_table = dict(route_table or {})
+        #: ``dest_ip -> (next_hop_ip, port)``, parsed from ``route_table``
+        self.route_table = {
+            dst: _parse_route(dst, hop)
+            for dst, hop in (route_table or {}).items()
+        }
         self.buffer_size = buffer_size
         self.retry = retry or RetryPolicy()
         self.sessions_forwarded = 0
@@ -851,10 +881,9 @@ class DepotServer(_Server):
                     remaining if opt is lsrr else opt for opt in header.options
                 )
                 return hop, header.with_options(options)
-        entry = self.route_table.get(header.dst_ip)
-        if entry is not None:
-            ip, _, port = entry.partition(":")
-            return (ip, int(port)), header
+        hop = self.route_table.get(header.dst_ip)
+        if hop is not None:
+            return hop, header
         return (header.dst_ip, header.dst_port), header
 
     def snapshot(self) -> dict[str, int]:
@@ -1172,6 +1201,36 @@ class SendReport:
     high_water: int = 0
 
 
+def route_header(
+    dst: tuple[str, int],
+    depots: Sequence[tuple[str, int]] = (),
+    *,
+    session_id: bytes | None = None,
+    session_type: SessionType = SessionType.POINT_TO_POINT,
+    options: tuple[HeaderOption, ...] = (),
+) -> tuple[SessionHeader, tuple[str, int]]:
+    """The header and first hop of a session to ``dst`` via ``depots``.
+
+    The source connects to the first depot (or straight to ``dst``), so
+    as with IP's LSRR the :class:`~repro.lsl.options.LooseSourceRoute`
+    carries only the depots beyond the first; it stops at the last
+    depot, because the destination lives in the fixed header.  The
+    source route follows ``options`` on the wire.
+    """
+    if len(depots) > 1:
+        options += (LooseSourceRoute(hops=tuple(depots[1:])),)
+    header = SessionHeader(
+        session_id=session_id if session_id is not None else new_session_id(),
+        src_ip="127.0.0.1",
+        dst_ip=dst[0],
+        src_port=0,
+        dst_port=dst[1],
+        session_type=session_type,
+        options=options,
+    )
+    return header, (depots[0] if depots else dst)
+
+
 def send_session(
     payload: bytes,
     header: SessionHeader,
@@ -1448,6 +1507,20 @@ def _striped_send(
     return report
 
 
+def pickup_header(
+    depot_ip: str, depot_port: int, session_id: bytes
+) -> SessionHeader:
+    """The wire header a receiver sends to claim a held session."""
+    return SessionHeader(
+        session_id=session_id,
+        src_ip="0.0.0.0",
+        dst_ip=depot_ip,
+        src_port=0,
+        dst_port=depot_port,
+        session_type=SessionType.PICKUP,
+    )
+
+
 def fetch_pickup(
     depot: tuple[str, int], session_id: bytes, timeout: float = 10.0
 ) -> bytes:
@@ -1456,8 +1529,6 @@ def fetch_pickup(
     Sends a :attr:`~repro.lsl.header.SessionType.PICKUP` header carrying
     the session id and reads the stored payload until EOF.
     """
-    from repro.lsl.async_session import pickup_header
-
     header = pickup_header(depot[0], depot[1], session_id)
     with socket.create_connection(depot, timeout=timeout) as sock:
         sock.sendall(header.encode())

@@ -240,9 +240,12 @@ def _socket_episode(
     index: int, rng: RngStream, config: ChaosConfig
 ) -> EpisodeResult:
     """One randomized transfer over a real loopback relay chain."""
-    from repro.lsl.header import SessionHeader, new_session_id
-    from repro.lsl.options import LooseSourceRoute
-    from repro.lsl.socket_transport import DepotServer, SinkServer, send_session
+    from repro.lsl.socket_transport import (
+        DepotServer,
+        SinkServer,
+        route_header,
+        send_session,
+    )
 
     size = int(rng.integers(config.min_size, config.max_size + 1))
     depot_names = [f"chaos-d{i}" for i in range(config.depots)]
@@ -269,25 +272,14 @@ def _socket_episode(
         for name in depot_names
     ]
     try:
-        header = SessionHeader(
-            session_id=new_session_id(),
-            src_ip="127.0.0.1",
-            dst_ip="127.0.0.1",
-            src_port=0,
-            dst_port=sink.port,
-            options=(
-                LooseSourceRoute(
-                    hops=tuple(d.address for d in depots[1:])
-                ),
-            )
-            if len(depots) > 1
-            else (),
+        header, first_hop = route_header(
+            sink.address, [d.address for d in depots]
         )
         try:
             report = send_session(
                 payload,
                 header,
-                depots[0].address,
+                first_hop,
                 chunk_size=16 << 10,
                 retry=policy,
                 fault_plan=plan,

@@ -1,92 +1,50 @@
-"""Depot engine stress: many interleaved sessions on one pool."""
+"""Depot stress: many interleaved sessions through one depot."""
 
-import pytest
+import threading
 
-from repro.lsl.depot import AdmissionError, Depot, DepotConfig
-from repro.lsl.header import SessionHeader, new_session_id
+from repro.lsl.faults import RetryPolicy
+from repro.lsl.socket_transport import (
+    DepotServer,
+    SinkServer,
+    route_header,
+    send_session,
+)
 from repro.util.rng import RngStream
-
-
-def make_header():
-    return SessionHeader(
-        session_id=new_session_id(),
-        src_ip="10.0.0.1",
-        dst_ip="10.0.0.2",
-        src_port=1,
-        dst_port=2,
-    )
 
 
 class TestManySessions:
     def test_interleaved_sessions_keep_bytes_separate(self):
-        depot = Depot(DepotConfig(name="d", capacity=1 << 20, max_sessions=32))
+        """Sixteen concurrent sessions, legacy and resumable alike, in
+        small chunks through one small-buffered depot: every sink copy
+        is exactly its own payload."""
         rng = RngStream(7)
-        sessions = {}
-        for i in range(16):
-            header = make_header()
-            payload = bytes(rng.generator.bytes(5000 + i * 100))
-            depot.admit(header)
-            sessions[header.session_id] = (payload, bytearray())
+        payloads = [bytes(rng.generator.bytes(5000 + i * 100)) for i in range(16)]
+        errors = []
+        with SinkServer() as sink, DepotServer(buffer_size=300) as depot:
+            headers = [
+                route_header(sink.address, [depot.address])[0]
+                for _ in payloads
+            ]
 
-        # interleave writes and reads in small random chunks
-        pending = {sid: 0 for sid in sessions}
-        order = list(sessions)
-        step = 0
-        while pending:
-            step += 1
-            sid = order[step % len(order)]
-            if sid not in pending:
-                continue
-            payload, collected = sessions[sid]
-            offset = pending[sid]
-            if offset < len(payload):
-                accepted = depot.write(sid, payload[offset : offset + 700])
-                pending[sid] = offset + accepted
-            chunk = depot.read(sid, 300)
-            collected += chunk
-            if pending.get(sid, 0) >= len(payload) and depot.available(sid) == 0:
-                del pending[sid]
-            assert step < 100_000, "stress loop stuck"
+            def send(i):
+                try:
+                    send_session(
+                        payloads[i], headers[i], depot.address,
+                        chunk_size=700,
+                        retry=RetryPolicy() if i % 2 else None,
+                    )
+                except Exception as exc:  # surfaced by the assert below
+                    errors.append(exc)
 
-        for sid, (payload, collected) in sessions.items():
-            # drain whatever remains
-            while depot.available(sid):
-                collected += depot.read(sid, 1000)
-            assert bytes(collected) == payload
-
-    def test_pool_pressure_degrades_gracefully(self):
-        """With the pool full, writes return 0 but nothing corrupts."""
-        depot = Depot(DepotConfig(name="d", capacity=10_000, max_sessions=8))
-        headers = [make_header() for _ in range(4)]
-        for h in headers:
-            depot.admit(h)
-        # stuff the pool
-        written = [depot.write(h.session_id, b"x" * 5000) for h in headers]
-        assert sum(written) == 10_000
-        # every byte that went in comes back out
-        total_out = 0
-        for h in headers:
-            while depot.available(h.session_id):
-                total_out += len(depot.read(h.session_id, 999))
-        assert total_out == 10_000
-        assert depot.pool_used == 0
-
-    def test_admission_recovers_after_evictions(self):
-        depot = Depot(DepotConfig(name="d", max_sessions=2))
-        h1, h2 = make_header(), make_header()
-        depot.admit(h1)
-        depot.admit(h2)
-        with pytest.raises(AdmissionError):
-            depot.admit(make_header())
-        depot.finish_write(h1.session_id)
-        depot.evict(h1.session_id)
-        depot.admit(make_header())  # slot freed
-
-    def test_peak_usage_reflects_worst_moment(self):
-        depot = Depot(DepotConfig(name="d", capacity=100_000))
-        h = make_header()
-        depot.admit(h)
-        depot.write(h.session_id, b"a" * 60_000)
-        depot.read(h.session_id, 60_000)
-        depot.write(h.session_id, b"b" * 10_000)
-        assert depot.peak_usage == 60_000
+            senders = [
+                threading.Thread(target=send, args=(i,))
+                for i in range(len(payloads))
+            ]
+            for thread in senders:
+                thread.start()
+            for thread in senders:
+                thread.join(30)
+            assert not any(thread.is_alive() for thread in senders)
+            assert errors == []
+            for header, payload in zip(headers, payloads):
+                assert sink.wait_for(header.hex_id) == payload

@@ -135,6 +135,14 @@ class TestHealthyStaging:
         ), staged.delivered
 
 
+    def test_empty_payload_rejected(self):
+        sender = MulticastFailoverSender(
+            StagingTree(nodes=((-1, *dead_address()),)), retry=POLICY
+        )
+        with pytest.raises(ValueError, match="non-empty"):
+            sender.stage(b"")
+
+
 class TestMidStagingKill:
     def test_orphan_regrafts_to_surviving_ancestor(self):
         """Kill the relay once it holds the session; its child must

@@ -3,21 +3,19 @@
 These exercise whole pipelines the way a deployment would:
 
 * sensors -> aggregation -> scheduler -> route-table validation;
-* scheduler -> route tables -> depot engines -> byte-exact sessions
+* scheduler -> route tables -> a loopback depot -> byte-exact sessions
   (hop-by-hop forwarding mode, no source routes);
 * campaign statistics versus a direct fluid-simulator replay of the
   same route decisions.
 """
 
-import math
-
 import pytest
 
 from repro.core.scheduler import LogisticalScheduler
 from repro.core.validate import validate_scheduler
-from repro.lsl.depot import Depot, DepotConfig
 from repro.lsl.header import SessionHeader, new_session_id
 from repro.lsl.routetable import RouteTable
+from repro.lsl.socket_transport import DepotServer, SinkServer, send_session
 from repro.net.simulator import NetworkSimulator
 from repro.nws.matrix import CliqueAggregator
 from repro.nws.sensor import SensorNetwork
@@ -71,8 +69,8 @@ class TestSensorsToScheduler:
 
 
 class TestSchedulerToDepotEngines:
-    """Hop-by-hop forwarding (route tables, no source route) through
-    real depot engines, end to end, byte for byte."""
+    """Hop-by-hop forwarding (route tables, no source route) through a
+    real depot on loopback sockets, end to end, byte for byte."""
 
     HOSTS = {
         # host name -> fake IPv4 (the wire format wants addresses)
@@ -100,38 +98,36 @@ class TestSchedulerToDepotEngines:
     def test_table_driven_forwarding(self):
         ips = self.HOSTS
         scheduler = self.make_scheduler()
-        # the session arrives at the depot with no source route; the
-        # depot's table (from the scheduler) must carry it onward
-        table = RouteTable.from_scheduler(scheduler, ips["depot"])
-        depot = Depot(DepotConfig(name="depot"), route_table=table)
-
-        header = SessionHeader(
-            session_id=new_session_id(),
-            src_ip=ips["src"],
-            dst_ip=ips["dst"],
-            src_port=5000,
-            dst_port=6000,
-        )
-        decision = depot.admit(header)
-        # from the depot, dst is one hop: forward directly
-        assert decision.is_final
-        assert decision.next_hop == (ips["dst"], 6000)
-
-        # and the source's own table sends the session to the depot first
+        # the source's table sends the session to the depot first
         src_table = RouteTable.from_scheduler(scheduler, ips["src"])
         assert src_table.next_hop(ips["dst"]) == ips["depot"]
+        # from the depot, dst is one hop: the default (direct) route
+        depot_table = RouteTable.from_scheduler(scheduler, ips["depot"])
+        assert not depot_table.is_relayed(ips["dst"])
 
-        # move bytes through the depot to prove the data path composes
         payload = RngStream(9).generator.bytes(100_000)
-        accepted = 0
-        out = bytearray()
-        while accepted < len(payload) or depot.available(header.session_id):
-            if accepted < len(payload):
-                accepted += depot.write(
-                    header.session_id, payload[accepted : accepted + 16384]
+        with SinkServer() as sink:
+            # the fake hosts live on loopback listeners; the depot's
+            # table translates each next hop it would dial into one
+            listener = {ips["dst"]: sink.address}
+            host, port = listener[depot_table.next_hop(ips["dst"])]
+            route_table = {ips["dst"]: f"{host}:{port}"}
+            with DepotServer(route_table=route_table) as depot:
+                listener[ips["depot"]] = depot.address
+                # no source route: the depot must forward by its table
+                header = SessionHeader(
+                    session_id=new_session_id(),
+                    src_ip=ips["src"],
+                    dst_ip=ips["dst"],
+                    src_port=5000,
+                    dst_port=6000,
                 )
-            out += depot.read(header.session_id, 16384)
-        assert bytes(out) == payload
+                send_session(
+                    payload, header, listener[src_table.next_hop(ips["dst"])]
+                )
+                assert sink.wait_for(header.hex_id) == payload
+                arrived = sink.headers[header.hex_id]
+        assert (arrived.dst_ip, arrived.dst_port) == (ips["dst"], 6000)
 
 
 class TestCampaignVsFluidSimulator:
