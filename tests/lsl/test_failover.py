@@ -121,6 +121,35 @@ def make_relay(registry, timeline, fault_plan=None):
     return servers, endpoints
 
 
+class SettledHealthMonitor(HealthMonitor):
+    """A monitor whose diagnosis waits for phase-1 bytes downstream.
+
+    The bytes d2 forwarded before it died are already on their way to
+    d3 and the sink.  A receiver thread that has not staged them by the
+    time the rerouted session reaches it sees its stripe claimed afresh,
+    drops them as superseded and resumes from zero, so the golden
+    ``resume`` events of that hop vanish.  Diagnosis comes before every
+    reroute, so waiting here pins the interleaving the scenario means:
+    every surviving hop holds phase-1 bytes when phase 2 starts.
+    """
+
+    def __init__(self, *args, timeline, downstream, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._timeline = timeline
+        self._downstream = set(downstream)
+
+    def diagnose(self, names=None):
+        deadline = time.monotonic() + 10.0
+        while self._downstream - {
+            e.node
+            for e in self._timeline.events()
+            if e.event == "first_byte" and e.stream == "up"
+        }:
+            assert time.monotonic() < deadline, "phase-1 bytes never landed"
+            time.sleep(0.001)
+        return super().diagnose(names)
+
+
 class TestGoldenFailover:
     def run_golden(self):
         """The acceptance scenario on real sockets; returns everything
@@ -143,12 +172,14 @@ class TestGoldenFailover:
         servers, endpoints = make_relay(registry, timeline, plan)
         payload = payload_bytes()
         try:
-            health = HealthMonitor(
+            health = SettledHealthMonitor(
                 endpoints,
                 probe_timeout_s=1.0,
                 failure_threshold=1,
                 cooldown=POLICY,
                 registry=registry,
+                timeline=timeline,
+                downstream=("d3", "sink"),
             )
             sender = FailoverSender(
                 LogisticalScheduler(failover_graph()),
