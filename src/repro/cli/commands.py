@@ -365,8 +365,6 @@ def cmd_pickup(args) -> int:
     if len(session_id) != 16:
         raise ValueError("session id must be 32 hex digits (128 bits)")
     payload = fetch_pickup(parse_endpoint(args.depot), session_id)
-    if not payload:
-        raise ValueError("depot returned no data (unknown session id?)")
     with open(args.out, "wb") as fh:
         fh.write(payload)
     print(f"fetched {len(payload)} bytes into {args.out}")

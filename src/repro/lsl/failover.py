@@ -16,6 +16,11 @@ current route faults past its retry budget, the sender
    its receiver's ledger watermark, so bytes already staged along
    surviving hops are never re-sent end to end.
 
+Those steps are written once, in :class:`RerouteLoop`; the multicast
+:class:`~repro.lsl.multicast_failover.MulticastFailoverSender` runs the
+same loop per tree branch and differs only in where its chains come
+from and how its headers look.
+
 The failover is visible end to end: a ``failover`` timeline event on
 the source's down stream (``detail`` names the avoided hosts), an
 ``lsl_failovers_total`` counter, and breaker state/transition series
@@ -28,8 +33,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import Any
 
-from repro.core.scheduler import LogisticalScheduler, ScheduleDecision
+from repro.core.scheduler import LogisticalScheduler
 from repro.lsl.faults import FaultPlan, RetryExhausted, RetryPolicy
 from repro.lsl.header import SessionHeader, new_session_id
 from repro.lsl.health import HealthMonitor
@@ -39,6 +45,8 @@ from repro.obs.registry import NULL_REGISTRY, Registry
 from repro.obs.timeline import DISABLED_TIMELINE, STREAM_DOWN, SessionTimeline
 
 log = logging.getLogger(__name__)
+
+Address = tuple[str, int]
 
 
 @dataclass
@@ -71,7 +79,164 @@ class NoRouteLeft(ConnectionError):
     """Every reroute candidate was exhausted without completing."""
 
 
-class FailoverSender:
+class RerouteLoop:
+    """The probe → breaker → reroute → resume-same-session loop.
+
+    Both failover senders subclass this and supply only what differs:
+    :meth:`_relays`, where a chain of relay hosts comes from, and
+    :meth:`_header_for`, the session header that realises it.  Relays
+    are named by their :class:`~repro.lsl.health.HealthMonitor` labels;
+    ``endpoints`` maps every label a chain may use to its listener
+    address, and ``targets`` is what a monitor built here watches.  The
+    other arguments are documented on the subclasses.
+    """
+
+    def __init__(
+        self, endpoints: dict[str, Address], targets: dict[str, Address],
+        retry: RetryPolicy | None, health: HealthMonitor | None,
+        max_failovers: int, source_name: str, registry: Registry | None,
+        timeline: SessionTimeline | None, fault_plan: FaultPlan | None,
+    ) -> None:
+        if max_failovers < 0:
+            raise ValueError(f"max_failovers={max_failovers} must be >= 0")
+        self.endpoints = dict(endpoints)
+        self.retry = retry or RetryPolicy()
+        self.max_failovers = max_failovers
+        self.source_name = source_name
+        self._obs = registry if registry is not None else NULL_REGISTRY
+        self._tl = timeline if timeline is not None else DISABLED_TIMELINE
+        self._fault_plan = fault_plan
+        if health is None:
+            health = HealthMonitor(
+                targets, cooldown=self.retry, registry=self._obs
+            )
+        self.health = health
+
+    # -- what each sender supplies -----------------------------------------
+    def _relays(self, target: Any, avoided: set[str]) -> list[str]:
+        """Relay hosts toward ``target``, none of them in ``avoided``.
+
+        Raises :class:`ValueError` when no chain is left.
+        """
+        raise NotImplementedError
+
+    def _header_for(
+        self, session_id: bytes, target: Any, hops: list[Address], total: int
+    ) -> tuple[SessionHeader, Address]:
+        """Header and first hop of a delivery to ``target`` via ``hops``."""
+        raise NotImplementedError
+
+    def _addresses(self, hosts: list[str]) -> list[Address]:
+        """Listener addresses of a chain's relay hosts."""
+        for host in hosts:
+            if host not in self.endpoints:
+                raise ValueError(
+                    f"scheduler routed via {host!r}, which has no known "
+                    f"listener address"
+                )
+        return [self.endpoints[h] for h in hosts]
+
+    @staticmethod
+    def _scheduled(
+        scheduler: LogisticalScheduler, source: str, dest: str,
+        avoided: set[str],
+    ) -> list[str]:
+        """The relays of the scheduler's best route around ``avoided``."""
+        if avoided:
+            decision = scheduler.reroute(source, dest, avoided)
+        else:
+            decision = scheduler.decide(source, dest)
+        return decision.route[1:-1]
+
+    # -- the reroute loop --------------------------------------------------
+    def _deliver(
+        self, target: Any, payload: bytes, chunk_size: int,
+        session_id: bytes, avoided: set[str], report: Any,
+        tried: list[list[str]], branch: str = "", stripes: int = 1,
+        stripe_block: int = 16 << 10,
+    ) -> SendReport:
+        """Deliver ``payload`` to ``target``, rerouting on failure.
+
+        ``avoided`` grows in place and is mirrored on ``report`` with
+        its failover count; ``tried`` gains each chain's relays as it
+        is dialed.  ``branch`` names a multicast branch in events and
+        errors.  At most ``1 + max_failovers`` chains are dialed.
+        """
+        where = f" branch {branch}" if branch else ""
+        last_error: Exception | None = None
+        attempts = 0
+        while attempts <= self.max_failovers:
+            try:
+                relays = self._relays(target, avoided)
+                hops = self._addresses(relays)
+            except ValueError as exc:
+                raise NoRouteLeft(
+                    f"session {session_id.hex()}{where}: no route avoiding "
+                    f"{sorted(avoided)}: {exc}"
+                ) from exc
+            watched = [h for h in relays if h in self.health.targets]
+            blocked = {h for h in watched if not self.health.allow(h)}
+            if blocked:
+                # a breaker opened since the chain was computed: fold it
+                # in and re-ask rather than knowingly dial a
+                # short-circuited depot.  That is not an attempt; the
+                # re-asking ends because ``avoided`` grows every round.
+                avoided |= blocked
+                report.avoided = set(avoided)
+                continue
+            attempts += 1
+            tried.append(relays)
+            header, first_hop = self._header_for(
+                session_id, target, hops, len(payload)
+            )
+            try:
+                sent = send_session(
+                    payload, header, first_hop, chunk_size=chunk_size,
+                    retry=self.retry, fault_plan=self._fault_plan,
+                    source_name=self.source_name, registry=self._obs,
+                    timeline=self._tl, stripes=stripes,
+                    stripe_block=stripe_block,
+                )
+            except (RetryExhausted, ConnectionError, OSError) as exc:
+                last_error = exc
+                # probes feed the breakers, so a refused depot trips
+                # toward OPEN here; when nothing probes dead, suspect
+                # every relay so the reroute changes topology instead
+                # of spinning in place
+                failed = self.health.diagnose(watched) if watched else set()
+                failed = failed or set(relays)
+                if not failed:
+                    # direct delivery with no relays to blame: give up
+                    break
+                avoided |= failed
+                report.avoided = set(avoided)
+                report.failovers += 1
+                self._obs.counter(
+                    "lsl_failovers_total", labels={"node": self.source_name}
+                ).inc()
+                prefix = f"branch={branch} " if branch else ""
+                self._tl.record(
+                    "failover", node=self.source_name, stream=STREAM_DOWN,
+                    session=session_id.hex(),
+                    detail=prefix + "avoid=" + ",".join(sorted(avoided)),
+                )
+                log.info(
+                    "session %s%s: chain %s failed (%s); avoiding %s",
+                    session_id.hex(), where, relays, exc, sorted(avoided),
+                )
+                continue
+            # send_session returns a SendReport on the resumable path
+            assert sent is not None
+            for host in watched:
+                self.health.breaker(host).record_success()
+            return sent
+        raise NoRouteLeft(
+            f"session {session_id.hex()}{where} failed after "
+            f"{report.failovers} failover(s), avoiding {sorted(avoided)}"
+        ) from last_error
+
+
+class FailoverSender(RerouteLoop):
     """A fault-tolerant sender that reroutes around dead depots.
 
     Parameters
@@ -116,83 +281,32 @@ class FailoverSender:
     ) -> None:
         if dest not in endpoints:
             raise ValueError(f"destination {dest!r} missing from endpoints")
-        if max_failovers < 0:
-            raise ValueError(f"max_failovers={max_failovers} must be >= 0")
+        super().__init__(
+            endpoints,
+            {name: a for name, a in endpoints.items() if name != source},
+            retry, health, max_failovers,
+            source_name if source_name is not None else source,
+            registry, timeline, fault_plan,
+        )
         self.scheduler = scheduler
-        self.endpoints = dict(endpoints)
         self.source = source
         self.dest = dest
-        self.retry = retry or RetryPolicy()
-        self.max_failovers = max_failovers
-        self.source_name = source_name if source_name is not None else source
-        self._obs = registry if registry is not None else NULL_REGISTRY
-        self._tl = timeline if timeline is not None else DISABLED_TIMELINE
-        self._fault_plan = fault_plan
-        if health is None:
-            probeable = {
-                name: addr
-                for name, addr in self.endpoints.items()
-                if name != source
-            }
-            health = HealthMonitor(
-                probeable, cooldown=self.retry, registry=self._obs
-            )
-        self.health = health
 
-    # -- route plumbing ----------------------------------------------------
-    def _pick_route(self, avoided: set[str]) -> ScheduleDecision:
-        """Best current route around ``avoided`` (plus open breakers)."""
-        if avoided:
-            return self.scheduler.reroute(self.source, self.dest, avoided)
-        return self.scheduler.decide(self.source, self.dest)
-
-    def _address(self, host: str) -> tuple[str, int]:
-        addr = self.endpoints.get(host)
-        if addr is None:
-            raise ValueError(
-                f"scheduler routed via {host!r}, which has no known "
-                f"listener address"
-            )
-        return addr
+    def _relays(self, target: str, avoided: set[str]) -> list[str]:
+        return self._scheduled(self.scheduler, self.source, target, avoided)
 
     def _header_for(
-        self, session_id: bytes, route: list[str], total: int
-    ) -> tuple[SessionHeader, tuple[str, int]]:
-        """Build the header + first hop realising ``route``.
-
-        The session id is pinned by the caller so every route attempt
-        belongs to the same session — that is what lets depots shared
-        between the old and new routes resume from their ledgers.
-        """
-        *depots, dst = [self._address(h) for h in route[1:]]
+        self, session_id: bytes, target: str, hops: list[Address], total: int
+    ) -> tuple[SessionHeader, Address]:
+        """Header + first hop of the route via ``hops``; the session id
+        is pinned by the caller so every attempt is the same session,
+        which lets depots shared between routes resume from their
+        ledgers."""
         return route_header(
-            dst,
-            depots,
-            session_id=session_id,
+            self.endpoints[target], hops, session_id=session_id,
             options=(ResumeOffset(total=total),),
         )
 
-    def _breaker_blocked(self, route: list[str]) -> set[str]:
-        """Intermediate hosts on ``route`` whose breakers deny traffic."""
-        return {
-            host
-            for host in route[1:-1]
-            if host in self.health.targets and not self.health.allow(host)
-        }
-
-    def _diagnose(self, route: list[str]) -> set[str]:
-        """Probe the route's depots; returns the ones that failed.
-
-        Probes feed the breakers, so a refused depot trips toward OPEN
-        here even before its failure count crosses the threshold via
-        send errors.  When every depot probes healthy (a transient
-        fault already cleared, or the failure was endpoint-side) the
-        sweep reports nothing and the caller retries the same topology.
-        """
-        candidates = [h for h in route[1:-1] if h in self.health.targets]
-        return self.health.diagnose(candidates) if candidates else set()
-
-    # -- the send loop -----------------------------------------------------
     def send(
         self,
         payload: bytes,
@@ -212,81 +326,9 @@ class FailoverSender:
             send=SendReport(payload_bytes=len(payload)),
             session=session_id.hex(),
         )
-        avoided: set[str] = set()
-        last_error: Exception | None = None
-        for attempt in range(self.max_failovers + 1):
-            try:
-                decision = self._pick_route(avoided)
-            except ValueError as exc:
-                raise NoRouteLeft(
-                    f"session {session_id.hex()}: no route from "
-                    f"{self.source} to {self.dest} avoiding "
-                    f"{sorted(avoided)}: {exc}"
-                ) from exc
-            blocked = self._breaker_blocked(decision.route)
-            if blocked:
-                # a breaker opened since the last scheduler answer;
-                # fold it in and re-ask rather than knowingly dial a
-                # short-circuited depot
-                avoided |= blocked
-                report.avoided = set(avoided)
-                continue
-            route = decision.route
-            report.routes.append(list(route))
-            header, first_hop = self._header_for(
-                session_id, route, len(payload)
-            )
-            try:
-                sent = send_session(
-                    payload,
-                    header,
-                    first_hop,
-                    chunk_size=chunk_size,
-                    retry=self.retry,
-                    fault_plan=self._fault_plan,
-                    source_name=self.source_name,
-                    registry=self._obs,
-                    timeline=self._tl,
-                )
-            except (RetryExhausted, ConnectionError, OSError) as exc:
-                last_error = exc
-                failed = self._diagnose(route)
-                if not failed:
-                    # nothing on the route looks dead — treat every
-                    # intermediate as suspect so the reroute actually
-                    # changes topology instead of spinning in place
-                    failed = set(route[1:-1])
-                if not failed:
-                    # direct route with no depots to blame: give up
-                    break
-                avoided |= failed
-                report.avoided = set(avoided)
-                report.failovers += 1
-                self._obs.counter(
-                    "lsl_failovers_total",
-                    labels={"node": self.source_name},
-                ).inc()
-                self._tl.record(
-                    "failover",
-                    node=self.source_name,
-                    stream=STREAM_DOWN,
-                    session=session_id.hex(),
-                    detail="avoid=" + ",".join(sorted(avoided)),
-                )
-                log.info(
-                    "session %s: route %s failed (%s); avoiding %s",
-                    session_id.hex(), route, exc, sorted(avoided),
-                )
-                continue
-            # send_session returns a SendReport on the resumable path
-            assert sent is not None
-            for host in route[1:-1]:
-                if host in self.health.targets:
-                    self.health.breaker(host).record_success()
-            report.send = sent
-            report.avoided = set(avoided)
-            return report
-        raise NoRouteLeft(
-            f"session {session_id.hex()} failed after "
-            f"{report.failovers} failover(s), avoiding {sorted(avoided)}"
-        ) from last_error
+        tried: list[list[str]] = []
+        report.send = self._deliver(
+            self.dest, payload, chunk_size, session_id, set(), report, tried
+        )
+        report.routes = [[self.source, *r, self.dest] for r in tried]
+        return report

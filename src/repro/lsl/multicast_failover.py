@@ -34,22 +34,17 @@ health monitor's breaker series.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 from repro.core.scheduler import LogisticalScheduler
-from repro.lsl.failover import NoRouteLeft
-from repro.lsl.faults import FaultPlan, RetryExhausted, RetryPolicy
+from repro.lsl.failover import Address, RerouteLoop
+from repro.lsl.faults import FaultPlan, RetryPolicy
 from repro.lsl.header import SessionHeader, SessionType, new_session_id
 from repro.lsl.health import HealthMonitor
 from repro.lsl.multicast import StagingTree
-from repro.lsl.socket_transport import SendReport, route_header, send_session
-from repro.obs.registry import NULL_REGISTRY, Registry
-from repro.obs.timeline import DISABLED_TIMELINE, STREAM_DOWN, SessionTimeline
-
-log = logging.getLogger(__name__)
-
-Address = tuple[str, int]
+from repro.lsl.socket_transport import SendReport, route_header
+from repro.obs.registry import Registry
+from repro.obs.timeline import SessionTimeline
 
 
 def _label(addr: Address) -> str:
@@ -92,7 +87,7 @@ class MulticastStagingReport:
     stripes: int = 1
 
 
-class MulticastFailoverSender:
+class MulticastFailoverSender(RerouteLoop):
     """Stage one payload down a depot tree, re-grafting dead branches.
 
     Parameters
@@ -142,94 +137,48 @@ class MulticastFailoverSender:
         timeline: SessionTimeline | None = None,
         fault_plan: FaultPlan | None = None,
     ) -> None:
-        if max_failovers < 0:
-            raise ValueError(f"max_failovers={max_failovers} must be >= 0")
         if stripes < 1:
             raise ValueError(f"stripes={stripes} must be >= 1")
         if scheduler is not None and host_names is None:
             raise ValueError("a scheduler requires host_names for the tree")
         self.tree = tree
-        self.retry = retry or RetryPolicy()
-        self.max_failovers = max_failovers
         self.stripes = stripes
         self.stripe_block = stripe_block
         self.scheduler = scheduler
         self.host_names = dict(host_names or {})
         self.source_host = source_host
-        self.source_name = source_name
-        self._obs = registry if registry is not None else NULL_REGISTRY
-        self._tl = timeline if timeline is not None else DISABLED_TIMELINE
-        self._fault_plan = fault_plan
-        if health is None:
-            targets = {
-                self._host_label(tree.address_of(i)): tree.address_of(i)
-                for i in range(len(tree))
-            }
-            health = HealthMonitor(
-                targets, cooldown=self.retry, registry=self._obs
-            )
-        self.health = health
+        nodes = {
+            self._host_label(tree.address_of(i)): tree.address_of(i)
+            for i in range(len(tree))
+        }
+        # off-tree depots the scheduler may graft through, then the tree
+        endpoints = {name: a for a, name in self.host_names.items()}
+        super().__init__(
+            {**endpoints, **nodes}, nodes, retry, health, max_failovers,
+            source_name, registry, timeline, fault_plan,
+        )
 
     def _host_label(self, addr: Address) -> str:
         return self.host_names.get(addr) or _label(addr)
 
-    # -- chain construction ------------------------------------------------
-    def _surviving_chain(
-        self, index: int, avoided: set[str]
-    ) -> list[Address]:
-        """The node's ancestor addresses with avoided hosts pruned."""
-        return [
-            self.tree.address_of(i)
-            for i in self.tree.path_to(index)[:-1]
-            if self._host_label(self.tree.address_of(i)) not in avoided
-        ]
-
-    def _rerouted_chain(
-        self, index: int, avoided: set[str]
-    ) -> list[Address]:
-        """A scheduler-chosen relay chain avoiding ``avoided`` hosts."""
-        assert self.scheduler is not None
-        node = self.tree.address_of(index)
-        dest = self._host_label(node)
-        decision = self.scheduler.reroute(self.source_host, dest, avoided)
-        addr_of = {name: addr for addr, name in self.host_names.items()}
-        chain: list[Address] = []
-        for host in decision.route[1:-1]:
-            addr = addr_of.get(host)
-            if addr is None:
-                raise ValueError(
-                    f"scheduler routed via {host!r}, which has no known "
-                    f"listener address"
-                )
-            chain.append(addr)
-        return chain
-
-    def _chain_for(self, index: int, avoided: set[str]) -> list[Address]:
+    def _relays(self, index: int, avoided: set[str]) -> list[str]:
+        """A scheduler re-graft once hosts are avoided, else the node's
+        ancestors with the avoided ones pruned."""
         if self.scheduler is not None and avoided:
-            return self._rerouted_chain(index, avoided)
-        return self._surviving_chain(index, avoided)
-
-    def _breaker_blocked(self, chain: list[Address]) -> set[str]:
-        """Chain hosts whose circuit breakers currently deny traffic."""
-        return {
-            label
-            for label in (self._host_label(a) for a in chain)
-            if label in self.health.targets and not self.health.allow(label)
-        }
-
-    def _diagnose(self, chain: list[Address]) -> set[str]:
-        """Probe the chain's depots; returns labels of the dead ones."""
-        candidates = [
-            label
-            for label in (self._host_label(a) for a in chain)
-            if label in self.health.targets
-        ]
-        return self.health.diagnose(candidates) if candidates else set()
+            dest = self._host_label(self.tree.address_of(index))
+            return self._scheduled(
+                self.scheduler, self.source_host, dest, avoided
+            )
+        ancestors = (
+            self._host_label(self.tree.address_of(i))
+            for i in self.tree.path_to(index)[:-1]
+        )
+        return [label for label in ancestors if label not in avoided]
 
     def _header_for(
-        self, session_id: bytes, index: int, chain: list[Address]
+        self, session_id: bytes, index: int, hops: list[Address], total: int
     ) -> tuple[SessionHeader, Address]:
-        """Multicast park header for node ``index`` via ``chain``.
+        """Multicast park header for node ``index`` via ``hops``.
 
         The root's header additionally announces the whole tree as a
         :class:`~repro.lsl.options.MulticastTreeOption` — the paper's
@@ -237,13 +186,12 @@ class MulticastFailoverSender:
         """
         return route_header(
             self.tree.address_of(index),
-            chain,
+            hops,
             session_id=session_id,
             session_type=SessionType.MULTICAST,
             options=(self.tree.to_option(),) if index == 0 else (),
         )
 
-    # -- the staging loop --------------------------------------------------
     def stage(
         self,
         payload: bytes,
@@ -276,98 +224,13 @@ class MulticastFailoverSender:
         # parents before children, so ascending index visits ancestors
         # before descendants
         for index in range(len(self.tree)):
-            self._stage_node(
-                index, payload, chunk_size, session_id, avoided, report
+            node = self.tree.address_of(index)
+            tried: list[list[str]] = []
+            report.delivered[node] = self._deliver(
+                index, payload, chunk_size, session_id, avoided, report,
+                tried, branch=self._host_label(node), stripes=self.stripes,
+                stripe_block=self.stripe_block,
             )
+            report.chains[node] = [self._addresses(r) for r in tried]
         report.avoided = set(avoided)
         return report
-
-    def _stage_node(
-        self,
-        index: int,
-        payload: bytes,
-        chunk_size: int,
-        session_id: bytes,
-        avoided: set[str],
-        report: MulticastStagingReport,
-    ) -> None:
-        node = self.tree.address_of(index)
-        branch = self._host_label(node)
-        attempts = report.chains.setdefault(node, [])
-        last_error: Exception | None = None
-        for _ in range(self.max_failovers + 1):
-            try:
-                chain = self._chain_for(index, avoided)
-            except ValueError as exc:
-                raise NoRouteLeft(
-                    f"session {session_id.hex()} branch {branch}: no chain "
-                    f"avoiding {sorted(avoided)}: {exc}"
-                ) from exc
-            blocked = self._breaker_blocked(chain)
-            if blocked:
-                # a breaker opened since the chain was computed; fold it
-                # in rather than knowingly dial a short-circuited depot
-                avoided |= blocked
-                report.avoided = set(avoided)
-                continue
-            attempts.append(list(chain))
-            header, first_hop = self._header_for(session_id, index, chain)
-            try:
-                sent = send_session(
-                    payload,
-                    header,
-                    first_hop,
-                    chunk_size=chunk_size,
-                    retry=self.retry,
-                    fault_plan=self._fault_plan,
-                    source_name=self.source_name,
-                    registry=self._obs,
-                    timeline=self._tl,
-                    stripes=self.stripes,
-                    stripe_block=self.stripe_block,
-                )
-            except (RetryExhausted, ConnectionError, OSError) as exc:
-                last_error = exc
-                failed = self._diagnose(chain)
-                if not failed:
-                    # nothing on the chain looks dead — suspect every
-                    # relay so the re-graft actually changes topology
-                    failed = {self._host_label(a) for a in chain}
-                if not failed:
-                    # direct delivery with no relays left to blame: the
-                    # branch target itself is the problem
-                    break
-                avoided |= failed
-                report.avoided = set(avoided)
-                report.failovers += 1
-                self._obs.counter(
-                    "lsl_failovers_total",
-                    labels={"node": self.source_name},
-                ).inc()
-                self._tl.record(
-                    "failover",
-                    node=self.source_name,
-                    stream=STREAM_DOWN,
-                    session=session_id.hex(),
-                    detail=(
-                        f"branch={branch} avoid=" + ",".join(sorted(avoided))
-                    ),
-                )
-                log.info(
-                    "session %s branch %s: chain %s failed (%s); "
-                    "avoiding %s",
-                    session_id.hex(), branch,
-                    [_label(a) for a in chain], exc, sorted(avoided),
-                )
-                continue
-            assert sent is not None
-            for addr in chain:
-                label = self._host_label(addr)
-                if label in self.health.targets:
-                    self.health.breaker(label).record_success()
-            report.delivered[node] = sent
-            return
-        raise NoRouteLeft(
-            f"session {session_id.hex()} branch {branch} failed after "
-            f"{report.failovers} failover(s), avoiding {sorted(avoided)}"
-        ) from last_error

@@ -947,6 +947,8 @@ class DepotServer(_Server):
             with self._held_lock:
                 payload = self.held.pop(header.hex_id, None)
             if payload is None:
+                # reset, not EOF: a clean close reads as an empty payload
+                _abort_socket(conn)
                 raise ValueError(f"no held session {header.hex_id}")
             conn.sendall(payload)
             return
@@ -1527,16 +1529,26 @@ def fetch_pickup(
     """Claim an asynchronously parked session from a depot.
 
     Sends a :attr:`~repro.lsl.header.SessionType.PICKUP` header carrying
-    the session id and reads the stored payload until EOF.
+    the session id and reads the stored payload until EOF.  A depot
+    holding no such session resets the connection; that raises
+    :class:`ValueError`, while an empty parked payload returns ``b""``.
     """
     header = pickup_header(depot[0], depot[1], session_id)
+    chunks = bytearray()
     with socket.create_connection(depot, timeout=timeout) as sock:
-        sock.sendall(header.encode())
-        sock.shutdown(socket.SHUT_WR)
-        chunks = bytearray()
-        while True:
-            data = sock.recv(_IO_CHUNK)
-            if not data:
-                break
-            chunks += data
+        try:
+            sock.sendall(header.encode())
+            # the reset may already have arrived (ENOTCONN here)
+            sock.shutdown(socket.SHUT_WR)
+            while data := sock.recv(_IO_CHUNK):
+                chunks += data
+        except TimeoutError:
+            raise  # a slow depot, not a refusal
+        except OSError as exc:
+            if chunks:
+                raise
+            raise ValueError(
+                f"depot {depot[0]}:{depot[1]} refused the claim for "
+                f"session {session_id.hex()}"
+            ) from exc
     return bytes(chunks)

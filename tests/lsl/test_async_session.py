@@ -2,6 +2,8 @@
 
 import time
 
+import pytest
+
 from repro.lsl import pickup_header
 from repro.lsl.header import SessionType
 from repro.lsl.socket_transport import (
@@ -37,7 +39,8 @@ class TestDepositPickupInMemory:
         unknown = b"\x00" * 16
         with DepotServer() as depot:
             kept = park(depot, b"kept")
-            assert fetch_pickup(depot.address, unknown) == b""
+            with pytest.raises(ValueError, match=unknown.hex()):
+                fetch_pickup(depot.address, unknown)
             deadline = time.monotonic() + 10
             while not depot.errors:
                 assert time.monotonic() < deadline, "no error recorded"
@@ -101,14 +104,29 @@ class TestAsyncOverSockets:
         with DepotServer() as depot:
             header = park(depot, b"once")
             assert fetch_pickup(depot.address, header.session_id) == b"once"
-            assert fetch_pickup(depot.address, header.session_id) == b""
+            # the spent ticket is refused, not answered with no bytes
+            with pytest.raises(ValueError, match=header.hex_id):
+                fetch_pickup(depot.address, header.session_id)
             assert depot.held == {}
 
     def test_fetch_unknown_session_errors_server_side(self):
         with DepotServer() as depot:
-            got = fetch_pickup(depot.address, b"\x09" * 16)
-            assert got == b""  # connection closes with nothing
+            # the depot resets the connection instead of closing it
+            with pytest.raises(ValueError, match="refused the claim"):
+                fetch_pickup(depot.address, b"\x09" * 16)
+            deadline = time.monotonic() + 10
+            while not depot.errors:
+                assert time.monotonic() < deadline, "no error recorded"
+                time.sleep(0.01)
             assert any("no held session" in str(e) for e in depot.errors)
+
+    def test_empty_parked_session_yields_no_bytes(self):
+        # an empty payload is parked and claimed like any other: only
+        # a refused claim raises
+        with DepotServer() as depot:
+            header = park(depot, b"")
+            assert fetch_pickup(depot.address, header.session_id) == b""
+            assert depot.held == {}
 
     def test_relay_then_park_at_last_depot(self):
         """The full asynchronous story: the sender pushes through one

@@ -181,7 +181,8 @@ class TestDataPath:
     def test_unknown_session_raises(self):
         unknown = b"\x00" * 16
         with DepotServer() as depot:
-            assert fetch_pickup(depot.address, unknown) == b""
+            with pytest.raises(ValueError, match=unknown.hex()):
+                fetch_pickup(depot.address, unknown)
             wait_until(lambda: depot.errors)
             [error] = depot.errors
         assert isinstance(error, ValueError)
@@ -226,7 +227,8 @@ class TestLifecycle:
                 lambda: header.hex_id in depot.held and not depot._ledgers
             )
             assert fetch_pickup(depot.address, header.session_id) == b"data"
-            assert fetch_pickup(depot.address, header.session_id) == b""
+            with pytest.raises(ValueError, match=header.hex_id):
+                fetch_pickup(depot.address, header.session_id)
             wait_until(lambda: depot.errors)
             assert depot.held == {}
         assert "no held session" in str(depot.errors[0])

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.core.scheduler import LogisticalScheduler
-from repro.lsl.failover import FailoverSender, NoRouteLeft
+from repro.lsl.failover import FailoverSender
 from repro.lsl.faults import FaultKind, FaultPlan, FaultRule, RetryPolicy
 from repro.lsl.header import new_session_id
 from repro.lsl.health import BreakerState, HealthMonitor
@@ -326,56 +326,6 @@ class TestRealKill:
 
 
 class TestFailoverSenderEdges:
-    def test_open_breaker_is_avoided_before_dialing(self):
-        """A breaker opened by background probing steers routing away
-        from the depot without a single failed send."""
-        registry = Registry()
-        timeline = SessionTimeline()
-        servers, endpoints = make_relay(registry, timeline)
-        payload = payload_bytes(1 << 20, seed=3)
-        try:
-            health = HealthMonitor(endpoints, cooldown=POLICY)
-            health.breaker("d2").force_open()
-            sender = FailoverSender(
-                LogisticalScheduler(failover_graph()),
-                endpoints,
-                source="src",
-                dest="sink",
-                retry=POLICY,
-                health=health,
-                source_name="src",
-                registry=registry,
-                timeline=timeline,
-            )
-            report = sender.send(payload)
-            delivered = servers["sink"].wait_for(report.session)
-        finally:
-            for server in servers.values():
-                server.kill()
-        assert delivered == payload
-        assert report.failovers == 0  # nothing failed; d2 was pre-avoided
-        assert report.routes == [["src", "d1", "d3", "sink"]]
-        assert report.avoided == {"d2"}
-        assert timeline.events(report.session)
-
-    def test_no_route_left_when_direct_fails(self):
-        """A direct route with no depots to blame gives up cleanly."""
-        sink = SinkServer(name="sink")
-        address = sink.address
-        sink.close()
-        graph = DictGraph(
-            ["src", "sink"], symmetric({("src", "sink"): 1.0})
-        )
-        sender = FailoverSender(
-            LogisticalScheduler(graph),
-            {"sink": address},
-            source="src",
-            dest="sink",
-            retry=POLICY,
-        )
-        with pytest.raises(NoRouteLeft):
-            sender.send(b"x" * 1024)
-
     def test_constructor_validation(self):
         graph = DictGraph(
             ["src", "sink"], symmetric({("src", "sink"): 1.0})

@@ -16,13 +16,16 @@ import time
 
 import pytest
 
+from repro.core.scheduler import LogisticalScheduler
 from repro.lsl.failover import NoRouteLeft
-from repro.lsl.faults import RetryPolicy
+from repro.lsl.faults import FaultKind, FaultPlan, FaultRule, RetryPolicy
 from repro.lsl.multicast import StagingTree
 from repro.lsl.multicast_failover import MulticastFailoverSender
 from repro.obs.timeline import SessionTimeline
 from repro.lsl.socket_transport import DepotServer, fetch_pickup
 from repro.util.rng import RngStream
+
+from tests.core.graphs import DictGraph, symmetric
 
 POLICY = RetryPolicy(
     max_retries=1,
@@ -219,6 +222,82 @@ class TestMidStagingKill:
             kill_all(servers)
 
 
+class TestSchedulerRegraft:
+    def test_orphan_regrafts_through_an_off_tree_depot(self):
+        """With a scheduler attached, the orphan of a dead relay is
+        re-grafted over ``scheduler.reroute``'s chain, which here runs
+        through a depot outside the tree."""
+        payload = payload_bytes(600_000)
+        # the relay dies (refusing every connection and probe) while the
+        # side branch, staged just before the orphan, is streaming
+        plan = FaultPlan(
+            [
+                FaultRule("side", FaultKind.STALL, after_bytes=1),
+                FaultRule(
+                    "relay",
+                    FaultKind.REFUSE,
+                    times=1000,
+                    after_fired=("side", FaultKind.STALL),
+                ),
+            ]
+        )
+        names = ["root", "relay", "side", "orphan", "spare"]
+        depots = {
+            name: DepotServer(name=name, retry=POLICY, fault_plan=plan)
+            for name in names
+        }
+        servers = list(depots.values())
+        # root -> relay -> orphan, root -> side; spare is off the tree
+        tree = make_tree(servers[:4], [-1, 0, 0, 1])
+        graph = DictGraph(
+            ["source", *names],
+            symmetric(
+                {
+                    ("source", "root"): 1.0,
+                    ("root", "relay"): 1.0,
+                    ("root", "side"): 1.0,
+                    ("relay", "orphan"): 1.0,
+                    ("root", "spare"): 2.0,
+                    ("spare", "orphan"): 2.0,
+                    ("source", "orphan"): 10.0,
+                }
+            ),
+        )
+        timeline = SessionTimeline()
+        sender = MulticastFailoverSender(
+            tree,
+            retry=POLICY,
+            max_failovers=1,
+            scheduler=LogisticalScheduler(graph),
+            host_names={d.address: name for name, d in depots.items()},
+            timeline=timeline,
+            fault_plan=plan,
+        )
+        try:
+            staged = sender.stage(payload, chunk_size=16 << 10)
+            held = {
+                name: depot.held.get(staged.session)
+                for name, depot in depots.items()
+            }
+        finally:
+            kill_all(servers)
+        root, relay, spare = (
+            depots[n].address for n in ("root", "relay", "spare")
+        )
+        assert staged.chains[depots["orphan"].address] == [
+            [root, relay],
+            [root, spare],
+        ]
+        assert staged.failovers == 1
+        assert staged.avoided == {"relay"}
+        assert held["orphan"] == payload
+        assert held["side"] == payload
+        # the spare forwarded the orphan's copy; it parks nothing
+        assert held["spare"] is None
+        [event] = [e for e in timeline.events() if e.event == "failover"]
+        assert event.detail == "branch=orphan avoid=relay"
+
+
 class TestClaimTicketPickup:
     def test_tree_staged_session_serves_async_pickup(self):
         """Satellite: a session deposited through a staging tree is an
@@ -246,12 +325,12 @@ class TestClaimTicketPickup:
         assert sibling == payload
 
     def test_pickup_of_unknown_session_yields_no_bytes(self):
-        # the depot refuses server-side (and logs it); the client sees a
-        # clean zero-byte stream, never a partial or foreign payload
+        # the depot refuses server-side (and logs it); the client gets a
+        # ValueError, never a partial or foreign payload
         depots = make_depots(["root"])
         servers = list(depots.values())
         try:
-            got = fetch_pickup(("127.0.0.1", depots["root"].port), bytes(16))
+            with pytest.raises(ValueError, match="refused the claim"):
+                fetch_pickup(("127.0.0.1", depots["root"].port), bytes(16))
         finally:
             kill_all(servers)
-        assert got == b""
