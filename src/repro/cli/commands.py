@@ -299,26 +299,30 @@ def cmd_forecast(args) -> int:
     """Race the NWS forecaster battery over a measurement file."""
     from repro.nws.selector import AdaptiveSelector
 
-    values = []
+    selector = AdaptiveSelector()
+    count = 0
     with open(args.series, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             try:
-                values.append(float(line))
+                value = float(line)
             except ValueError:
                 raise ValueError(
                     f"line {lineno}: {line!r} is not a number"
                 ) from None
-    if len(values) < 2:
+            try:
+                selector.update(value)  # rejects nan, inf and negatives
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            count += 1
+    if count < 2:
         raise ValueError("need at least two measurements")
 
-    selector = AdaptiveSelector()
-    selector.extend(values)
     report = selector.forecast()
     print(
-        f"{len(values)} measurements; forecast {format_rate(report.value)} "
+        f"{count} measurements; forecast {format_rate(report.value)} "
         f"by {report.forecaster!r} "
         f"(relative error {selector.prediction_error():.1%})"
     )

@@ -107,8 +107,9 @@ class MinimaxTree:
         The edge-equivalence fraction used to build the tree.
     trace:
         Build-time adoption record consumed by :func:`repair_mmp_tree`;
-        ``None`` on hand-built or repaired trees (repairing those falls
-        back to a full rebuild).  Excluded from equality.
+        ``None`` on hand-built trees and on trees a repair replayed
+        (repairing those falls back to a full rebuild).  Excluded from
+        equality.
     """
 
     start: str
@@ -208,7 +209,9 @@ def build_mmp_tree(
     ----------
     graph:
         Anything exposing ``hosts`` and ``cost(src, dst)`` — typically a
-        :class:`repro.nws.matrix.PerformanceMatrix`.
+        :class:`repro.nws.matrix.PerformanceMatrix`.  A graph that also
+        has ``cost_matrix()`` has its edges read from that, one row per
+        settled node; its entries must equal ``cost`` bit for bit.
     start:
         Root node; must be one of ``graph.hosts``.
     epsilon:
@@ -230,11 +233,20 @@ def build_mmp_tree(
     if start not in hosts:
         raise KeyError(f"start node {start!r} not in graph")
 
+    one = 1.0 + epsilon
+    inf = math.inf
+    idx = {h: i for i, h in enumerate(hosts)}
+    # each settled node's out-edges are relaxed as one array row: of the
+    # dense cost matrix when the graph has one (its entries equal
+    # ``cost`` bit for bit), else of ``graph.cost`` over the unsettled
+    # nodes
+    dense = _dense_of(graph)
     parent: dict[str, str] = {start: start}
     cost: dict[str, float] = {start: 0.0}
-    best: dict[str, float] = {h: math.inf for h in hosts}
-    best[start] = 0.0
-    done: set[str] = set()
+    # best cost offered so far; -inf once settled, so a settled node
+    # is never offered a hop and its stale heap entries are skipped
+    best = np.full(len(hosts), inf)
+    best[idx[start]] = 0.0
     events: list[tuple[float, str, str, float]] = []
     settles: list[str] = []
 
@@ -242,9 +254,10 @@ def build_mmp_tree(
     heap: list[tuple[float, str]] = [(0.0, start)]
     while heap:
         node_cost, node = heapq.heappop(heap)
-        if node in done or node_cost > best[node]:
+        ni = idx[node]
+        if node_cost > best[ni]:
             continue  # stale entry
-        done.add(node)
+        best[ni] = -inf
         settles.append(node)
         cost[node] = node_cost
         if (
@@ -253,19 +266,27 @@ def build_mmp_tree(
             and node not in relay_nodes
         ):
             continue  # may be reached, but never forwards
-        for other in hosts:
-            if other in done or other == node:
-                continue
-            edge = graph.cost(node, other)
-            if not math.isfinite(edge):
-                continue
-            relax_cost = max(edge, node_cost)
-            # Appendix A: adopt only if more than epsilon-fraction better
-            if relax_cost * (1.0 + epsilon) < best[other]:
-                best[other] = relax_cost
-                parent[other] = node
-                events.append((node_cost, node, other, relax_cost))
-                heapq.heappush(heap, (relax_cost, other))
+        if dense is not None:
+            row = dense[ni]
+        else:
+            row = np.array(
+                [
+                    graph.cost(node, h) if b > -inf else inf
+                    for h, b in zip(hosts, best.tolist())
+                ]
+            )
+        relax = np.maximum(row, node_cost)
+        # Appendix A: adopt only if more than epsilon-fraction better;
+        # an absent edge (inf or nan) never compares better
+        for j in np.flatnonzero(relax * one < best).tolist():  # host order
+            if row[j] == -inf:
+                continue  # no finite edge either
+            other = hosts[j]
+            relax_cost = float(relax[j])
+            best[j] = relax_cost
+            parent[other] = node
+            events.append((node_cost, node, other, relax_cost))
+            heapq.heappush(heap, (relax_cost, other))
 
     trace = BuildTrace(
         relay_nodes=(
@@ -301,14 +322,21 @@ def repair_mmp_tree(
     contract as the scheduler's tree cache).  ``dense`` may carry a
     precomputed ``graph.cost_matrix()`` aligned with ``graph.hosts`` to
     spare the repair the dense-matrix rebuild; entries must equal
-    ``graph.cost`` bit-for-bit.  Trees without a build trace (hand-made
-    or themselves repaired) fall back to a full rebuild, as does any
-    repair whose tainted region grows past half the graph.
+    ``graph.cost`` bit-for-bit.  Trees without a build trace (hand-made,
+    or replayed by an earlier repair) fall back to a full rebuild, as
+    does any repair whose tainted region grows past half the graph.
     """
     avoid = set(avoid)
-    hosts = list(graph.hosts)
     start = tree.start
     trace = tree.trace
+    if trace is not None:
+        seed = (avoid - {start}) & trace.offerers
+        if not seed:
+            # no avoided host ever placed a winning offer, so barring
+            # them from forwarding changes nothing: the original tree
+            # stands
+            return tree
+    hosts = list(graph.hosts)
     if trace is not None and trace.relay_nodes is not None:
         relay_new = set(trace.relay_nodes) - avoid
     else:
@@ -319,11 +347,6 @@ def repair_mmp_tree(
         )
 
     events = trace.events
-    seed = (avoid - {start}) & trace.offerers
-    if not seed:
-        # no avoided host ever placed a winning offer, so barring them
-        # from forwarding changes nothing: the original tree stands
-        return tree
 
     if dense is None:
         dense = _dense_of(graph)
@@ -341,8 +364,6 @@ def repair_mmp_tree(
         if isinstance(out, MinimaxTree):
             return out
         seed.update(out)  # verification re-tainted clean nodes; widen
-    if dense is not None:
-        return _dense_build(hosts, start, tree.epsilon, relay_new, dense)
     return build_mmp_tree(graph, start, tree.epsilon, relay_nodes=relay_new)
 
 
@@ -355,57 +376,6 @@ def _dense_of(graph: CostGraph) -> np.ndarray | None:
         return matfn()
     except AttributeError:
         return None  # wrapper over a matrix-less graph
-
-
-def _dense_build(
-    hosts: list[str],
-    start: str,
-    epsilon: float,
-    relay_nodes: set[str],
-    dense: np.ndarray,
-) -> MinimaxTree:
-    """:func:`build_mmp_tree` with array relaxation — bit-identical.
-
-    The repair's fallback for blast radii past the taint threshold:
-    relaxing a settled node against every neighbour is one vector op
-    over the dense cost row instead of a python loop of ``graph.cost``
-    calls.  Heap entries, adoption tests (same ``relax*(1+ε) < best``
-    floats) and tie behaviour all match the scalar builder exactly; an
-    infinite edge relaxes to an infinite cost, which the strict
-    comparison rejects just as the scalar ``isfinite`` skip does.  No
-    trace is recorded — repaired trees are not themselves repairable.
-    """
-    one = 1.0 + epsilon
-    inf = math.inf
-    idx = {h: i for i, h in enumerate(hosts)}
-    n = len(hosts)
-    best = np.full(n, inf)
-    best[idx[start]] = 0.0
-    parent: dict[str, str] = {start: start}
-    cost: dict[str, float] = {start: 0.0}
-    done = np.zeros(n, dtype=bool)
-
-    heap: list[tuple[float, str]] = [(0.0, start)]
-    while heap:
-        node_cost, node = heapq.heappop(heap)
-        ni = idx[node]
-        if done[ni] or node_cost > best[ni]:
-            continue  # stale entry
-        done[ni] = True
-        cost[node] = node_cost
-        if node != start and node not in relay_nodes:
-            continue  # may be reached, but never forwards
-        relax = np.maximum(dense[ni], node_cost)
-        relax[ni] = inf  # no self edge
-        hits = np.nonzero((relax * one < best) & ~done)[0]
-        for h in hits:
-            other = hosts[int(h)]
-            val = float(relax[h])
-            best[h] = val
-            parent[other] = node
-            heapq.heappush(heap, (val, other))
-
-    return MinimaxTree(start=start, parent=parent, cost=cost, epsilon=epsilon)
 
 
 def _replay_tainted(

@@ -11,16 +11,79 @@ The battery in :func:`default_battery` mirrors the classic NWS mix:
 last value, running mean, sliding means and medians over several window
 sizes, trimmed means, exponential smoothing at several gains, and an
 adaptive-window mean.
+
+Window statistics are plain Python: the windows hold a few dozen floats,
+where numpy's per-call overhead would dominate.  They reproduce numpy's
+float64 results bit for bit.  A median is a selection from the sorted
+window (the mean of the two middle values for even windows), and every
+mean or standard deviation adds in numpy's pairwise order
+(:func:`_pairwise_sum`), so forecasts equal those of the numpy battery
+that recorded the repository's campaign digests.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-
-import numpy as np
+from functools import reduce
+from itertools import islice
+from operator import add
 
 from repro.util.validation import check_in_range, check_positive
+
+
+def _pairwise_sum(a: list[float], lo: int, n: int) -> float:
+    """Sum of ``a[lo:lo + n]`` in the order of numpy's float64 pairwise
+    summation, so the result is bit-identical to numpy's.
+
+    Under 8 terms numpy adds left to right; up to 128 it runs eight
+    strided accumulators, combines them as a balanced tree and adds the
+    remainder in order; above 128 it splits at ``n // 2`` rounded down
+    to a multiple of 8 and recurses.
+    """
+    if n < 8:
+        return reduce(add, islice(a, lo, lo + n), 0.0)
+    if n <= 128:
+        end = lo + n - n % 8
+        r0, r1, r2, r3, r4, r5, r6, r7 = a[lo : lo + 8]
+        for i in range(lo + 8, end, 8):
+            x0, x1, x2, x3, x4, x5, x6, x7 = a[i : i + 8]
+            r0 += x0
+            r1 += x1
+            r2 += x2
+            r3 += x3
+            r4 += x4
+            r5 += x5
+            r6 += x6
+            r7 += x7
+        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for x in a[end : lo + n]:
+            res += x
+        return res
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise_sum(a, lo, n2) + _pairwise_sum(a, lo + n2, n - n2)
+
+
+def _mean(a: list[float]) -> float:
+    """numpy's mean of a non-empty list."""
+    # numpy adds onto the reduction's identity, 0.0 (turning -0.0 to 0.0)
+    return (0.0 + _pairwise_sum(a, 0, len(a))) / len(a)
+
+
+def _std(a: list[float], mu: float) -> float:
+    """numpy's (population) standard deviation, given ``mu = _mean(a)``."""
+    sq = [(x - mu) * (x - mu) for x in a]
+    return math.sqrt((0.0 + _pairwise_sum(sq, 0, len(sq))) / len(sq))
+
+
+def _median_of_sorted(s: list[float]) -> float:
+    """numpy's median of a non-empty, sorted list."""
+    # numpy takes the mean of the middle one or two values
+    h = len(s) // 2
+    if len(s) % 2:
+        return 0.0 + s[h]
+    return (0.0 + s[h - 1] + s[h]) / 2.0
 
 
 class Forecaster:
@@ -112,7 +175,7 @@ class SlidingMedian(Forecaster):
     def predict(self) -> float:
         if not self._buf:
             return math.nan
-        return float(np.median(self._buf))
+        return _median_of_sorted(sorted(self._buf))
 
 
 class TrimmedMean(Forecaster):
@@ -135,10 +198,9 @@ class TrimmedMean(Forecaster):
     def predict(self) -> float:
         if not self._buf:
             return math.nan
-        data = np.sort(np.asarray(self._buf, dtype=float))
+        data = sorted(self._buf)
         k = int(len(data) * self.trim)
-        trimmed = data[k : len(data) - k] if len(data) > 2 * k else data
-        return float(trimmed.mean())
+        return _mean(data[k : len(data) - k] if len(data) > 2 * k else data)
 
 
 class ExponentialSmoothing(Forecaster):
@@ -177,23 +239,30 @@ class AdaptiveMean(Forecaster):
         self.name = f"adapt_mean_{self.max_window}"
         self._buf: deque[float] = deque(maxlen=self.max_window)
         self._window = self.max_window
+        # (current window, its mean), kept until the next update
+        self._recent: tuple[list[float], float] | None = None
+
+    def _recent_mean(self) -> tuple[list[float], float]:
+        if self._recent is None:
+            recent = list(self._buf)[-self._window :]
+            self._recent = (recent, _mean(recent))
+        return self._recent
 
     def update(self, value: float) -> None:
         if len(self._buf) >= 4:
-            recent = np.asarray(self._buf, dtype=float)[-self._window :]
-            mu = recent.mean()
-            sigma = recent.std()
+            recent, mu = self._recent_mean()
+            sigma = _std(recent, mu)
             if sigma > 0 and abs(value - mu) > self.threshold * sigma:
                 self._window = max(2, self._window // 2)
             elif self._window < self.max_window:
                 self._window = min(self.max_window, self._window + 1)
         self._buf.append(value)
+        self._recent = None
 
     def predict(self) -> float:
         if not self._buf:
             return math.nan
-        recent = np.asarray(self._buf, dtype=float)[-self._window :]
-        return float(recent.mean())
+        return self._recent_mean()[1]
 
 
 class StochasticGradient(Forecaster):
@@ -246,25 +315,32 @@ class AdaptiveMedian(Forecaster):
         self.name = f"adapt_median_{self.max_window}"
         self._buf: deque[float] = deque(maxlen=self.max_window)
         self._window = self.max_window
+        # (current window, its median), kept until the next update
+        self._recent: tuple[list[float], float] | None = None
+
+    def _recent_median(self) -> tuple[list[float], float]:
+        if self._recent is None:
+            recent = list(self._buf)[-self._window :]
+            self._recent = (recent, _median_of_sorted(sorted(recent)))
+        return self._recent
 
     def update(self, value: float) -> None:
         if len(self._buf) >= 4:
-            recent = np.asarray(self._buf, dtype=float)[-self._window :]
-            center = float(np.median(recent))
-            spread = float(
-                np.median(np.abs(recent - center))
+            recent, center = self._recent_median()
+            spread = _median_of_sorted(
+                sorted([abs(x - center) for x in recent])
             ) * 1.4826  # MAD -> sigma
             if spread > 0 and abs(value - center) > self.threshold * spread:
                 self._window = max(2, self._window // 2)
             elif self._window < self.max_window:
                 self._window = min(self.max_window, self._window + 1)
         self._buf.append(value)
+        self._recent = None
 
     def predict(self) -> float:
         if not self._buf:
             return math.nan
-        recent = np.asarray(self._buf, dtype=float)[-self._window :]
-        return float(np.median(recent))
+        return self._recent_median()[1]
 
 
 def default_battery() -> list[Forecaster]:

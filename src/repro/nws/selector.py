@@ -65,14 +65,26 @@ class AdaptiveSelector:
         self._last_value = math.nan
 
     def update(self, value: float) -> None:
-        """Score every forecaster against ``value``, then absorb it."""
+        """Score every forecaster against ``value``, then absorb it.
+
+        Raises
+        ------
+        ValueError
+            If ``value`` is NaN, infinite or negative; nothing is
+            changed then.
+        """
+        if not 0.0 <= value < math.inf:
+            raise ValueError(
+                f"measurement {value!r} is not a finite non-negative number"
+            )
+        sq_err, abs_err = self._sq_err, self._abs_err
         any_scored = False
         for i, forecaster in enumerate(self._battery):
             pred = forecaster.predict()
-            if not math.isnan(pred):
+            if pred == pred:  # not nan: the forecaster has data
                 err = pred - value
-                self._sq_err[i] += err * err
-                self._abs_err[i] += abs(err)
+                sq_err[i] += err * err
+                abs_err[i] += abs(err)
                 any_scored = True
         if any_scored:
             self._scored += 1

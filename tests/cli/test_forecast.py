@@ -48,3 +48,14 @@ class TestForecastCommand:
     def test_missing_file_is_error(self, capsys):
         rc = main(["forecast", "/no/such/series"])
         assert rc == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-50"])
+    def test_non_finite_or_negative_is_error(self, tmp_path, capsys, bad):
+        path = tmp_path / "series.txt"
+        path.write_text(f"100\n120\n{bad}\n110\n105\n")
+        rc = main(["forecast", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "line 3" in captured.err
+        assert bad in captured.err
+        assert "forecast" not in captured.out

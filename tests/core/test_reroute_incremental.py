@@ -6,7 +6,7 @@ set, not merely equal path costs.  The property tests here generate
 tie-rich random meshes (small bandwidth pools make equal minimax costs
 common, which is where the settle-order bookkeeping can go wrong) and
 random avoid sets, including ones that disconnect the destination or
-sever most of the graph (driving the repair into its dense-rebuild
+sever most of the graph (driving the repair into its full-rebuild
 fallback).
 """
 
@@ -229,7 +229,7 @@ class TestRepairEdgeCases:
 
     def test_large_avoid_set_takes_dense_fallback(self):
         # avoid most forwarders: the taint region crosses the half-graph
-        # threshold and the dense rebuild must still match exactly
+        # threshold and the full rebuild must still match exactly
         n, seed = 12, 77
         pm = _random_matrix(n, seed, 1.0, (1.0, 2.0))
         start = pm.hosts[0]

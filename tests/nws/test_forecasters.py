@@ -1,6 +1,7 @@
 """Forecaster battery tests."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from repro.nws.forecasters import (
     SlidingMedian,
     StochasticGradient,
     TrimmedMean,
+    _mean,
+    _median_of_sorted,
+    _std,
     default_battery,
 )
 
@@ -235,3 +239,44 @@ class TestDefaultBattery:
             assert math.isnan(f.predict())
             f.update(5.0)
             assert not math.isnan(f.predict())
+
+
+window_values = st.lists(
+    st.one_of(
+        st.floats(min_value=0, max_value=1e9),
+        st.sampled_from([0.0, 1.0, 2.5, 1e6]),  # exact ties
+    ),
+    min_size=1,
+    max_size=300,  # past 128: numpy's recursive pairwise split
+)
+
+
+class TestNumpyParity:
+    """The pure-Python window statistics equal numpy's bit for bit."""
+
+    def test_every_length_to_300(self):
+        # each summation regime: sequential, 8 accumulators, the split
+        rng = random.Random(5)
+        for n in range(1, 301):
+            vals = [
+                rng.uniform(0, 1e6) * rng.choice((1e-3, 1, 1e3))
+                for _ in range(n)
+            ]
+            mu = _mean(vals)
+            assert repr(mu) == repr(float(np.mean(vals))), n
+            assert repr(_std(vals, mu)) == repr(float(np.std(vals))), n
+            assert repr(_median_of_sorted(sorted(vals))) == repr(
+                float(np.median(vals))
+            ), n
+
+    @given(window_values)
+    def test_mean_and_std(self, vals):
+        mu = _mean(vals)
+        assert repr(mu) == repr(float(np.mean(vals)))
+        assert repr(_std(vals, mu)) == repr(float(np.std(vals)))
+
+    @given(window_values)
+    def test_median(self, vals):
+        assert repr(_median_of_sorted(sorted(vals))) == repr(
+            float(np.median(vals))
+        )

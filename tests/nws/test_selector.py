@@ -31,6 +31,27 @@ class TestBasics:
         s.update(6.0)
         assert s.samples_scored == 1
 
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, -50.0, np.float64("nan")]
+    )
+    def test_rejects_non_finite_or_negative(self, bad):
+        s = AdaptiveSelector()
+        for v in (100.0, 120.0):
+            s.update(v)
+        before = (s.forecast(), s.error_table(), s.prediction_error())
+        with pytest.raises(ValueError, match=repr(float(bad))):
+            s.update(bad)
+        # the bad sample touched no state
+        assert (s.forecast(), s.error_table(), s.prediction_error()) == before
+        s.update(110.0)
+        assert s.samples_scored == 2
+        assert math.isfinite(s.predict())
+
+    def test_zero_is_a_valid_measurement(self):
+        s = AdaptiveSelector()
+        s.extend([0.0, 0.0, 0.0])
+        assert s.predict() == 0.0
+
 
 class TestSelection:
     def test_picks_last_value_for_random_walk(self):
