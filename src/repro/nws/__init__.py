@@ -8,11 +8,12 @@ and [34]).  This package reimplements that pipeline:
 * :mod:`~repro.nws.series` — time-stamped measurement histories;
 * :mod:`~repro.nws.forecasters` — the classic NWS predictor battery
   (last value, running/sliding means, medians, exponential smoothing);
-* :mod:`~repro.nws.selector` — the NWS trick: run every predictor in
+* :mod:`~repro.nws.bank` — the NWS trick: run every predictor in
   parallel, track each one's error on the measurements that have already
-  arrived, and answer with the current winner.  The winner's error is
-  also exposed — the paper suggests it as an automatic choice for the
-  scheduler's ε;
+  arrived, and answer with the current winner, batched over many
+  streams.  The winner's error is also exposed — the paper suggests it
+  as an automatic choice for the scheduler's ε;
+* :mod:`~repro.nws.selector` — the same over a single stream;
 * :mod:`~repro.nws.matrix` — the fully-connected performance matrix with
   site-level (clique) aggregation.
 """
@@ -29,6 +30,7 @@ from repro.nws.forecasters import (
     TrimmedMean,
     default_battery,
 )
+from repro.nws.bank import ForecastBank
 from repro.nws.selector import AdaptiveSelector, ForecastReport
 from repro.nws.matrix import PerformanceMatrix, CliqueAggregator
 
@@ -44,6 +46,7 @@ __all__ = [
     "AdaptiveMean",
     "TrimmedMean",
     "default_battery",
+    "ForecastBank",
     "AdaptiveSelector",
     "ForecastReport",
     "PerformanceMatrix",

@@ -12,11 +12,16 @@ last value, running mean, sliding means and medians over several window
 sizes, trimmed means, exponential smoothing at several gains, and an
 adaptive-window mean.
 
-Window statistics are plain Python: the windows hold a few dozen floats,
-where numpy's per-call overhead would dominate.  They reproduce numpy's
-float64 results bit for bit.  A median is a selection from the sorted
-window (the mean of the two middle values for even windows), and every
-mean or standard deviation adds in numpy's pairwise order
+These classes are the battery's description and its scalar reference.
+Forecasting itself runs in :class:`~repro.nws.bank.ForecastBank`, which
+builds one batched kernel per forecaster of a battery and steps every
+measurement stream at once; its tests hold it to these classes bit for
+bit.
+
+Window statistics here are plain Python and reproduce numpy's float64
+results bit for bit.  A median is a selection from the sorted window
+(the mean of the two middle values for even windows), and every mean or
+standard deviation adds in numpy's pairwise order
 (:func:`_pairwise_sum`), so forecasts equal those of the numpy battery
 that recorded the repository's campaign digests.
 """

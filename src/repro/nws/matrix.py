@@ -11,6 +11,14 @@ single site are connected similarly to all hosts at some other site", so
 hosts into site cliques, maintains one NWS forecast stream per site pair
 (plus per-host-pair streams inside a site), and expands the site-level
 forecasts back into the full host-level matrix.
+
+The streams are independent, so they share one
+:class:`~repro.nws.bank.ForecastBank`.  Probes are validated when they
+are observed and queued per stream; the first query afterwards flushes
+the queue through the bank in rounds (round *k* feeds every stream its
+*k*-th queued probe), and :meth:`CliqueAggregator.build_matrix`
+forecasts once per stream and fills the host pairs from site-index
+arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import math
 
 import numpy as np
 
-from repro.nws.selector import AdaptiveSelector
+from repro.nws.bank import ForecastBank
 from repro.util.validation import check_positive
 
 
@@ -107,6 +115,13 @@ class PerformanceMatrix:
 class CliqueAggregator:
     """Site-clique NWS aggregation into a host-level matrix.
 
+    Every stream lives in one :class:`~repro.nws.bank.ForecastBank`.
+    :meth:`observe` validates a probe and queues it on its stream; the
+    next query (:meth:`build_matrix`, :meth:`forecast`,
+    :meth:`prediction_error` or :meth:`stream_count`) flushes every
+    queued probe through the bank, round by round, each stream in its
+    own order.
+
     Parameters
     ----------
     site_of:
@@ -128,7 +143,9 @@ class CliqueAggregator:
         self.site_of = dict(site_of)
         self.hosts = sorted(site_of)
         self.intra_site_bandwidth = intra_site_bandwidth
-        self._selectors: dict[tuple[str, str], AdaptiveSelector] = {}
+        self._bank = ForecastBank()
+        self._rows: dict[tuple[str, str], int] = {}  # stream -> bank row
+        self._pending: dict[tuple[str, str], list[float]] = {}
 
     def _key(self, src_host: str, dst_host: str) -> tuple[str, str]:
         """Aggregation key: site pair across sites, host pair within."""
@@ -138,18 +155,37 @@ class CliqueAggregator:
         return (s_src, s_dst)
 
     def observe(self, src_host: str, dst_host: str, value: float) -> None:
-        """Feed one bandwidth probe (bytes/sec) into the right stream."""
+        """Queue one bandwidth probe (bytes/sec) on the right stream.
+
+        Raises
+        ------
+        ValueError
+            If ``value`` is not a finite positive number; the stream is
+            unchanged then.
+        """
         check_positive("value", value)
         key = self._key(src_host, dst_host)
-        selector = self._selectors.get(key)
-        if selector is None:
-            selector = AdaptiveSelector()
-            self._selectors[key] = selector
-        selector.update(value)
+        pending = self._pending.get(key)
+        if pending is None:
+            pending = self._pending[key] = []
+        pending.append(value)
+
+    def _flush(self) -> None:
+        """Run every queued probe through the bank."""
+        if not self._pending:
+            return
+        new = [key for key in self._pending if key not in self._rows]
+        self._rows.update(zip(new, self._bank.add_series(len(new)).tolist()))
+        self._bank.extend(
+            [self._rows[key] for key in self._pending],
+            list(self._pending.values()),
+        )
+        self._pending.clear()
 
     def stream_count(self) -> int:
         """Number of distinct aggregation streams seen so far."""
-        return len(self._selectors)
+        self._flush()
+        return len(self._rows)
 
     def forecast(self, src_host: str, dst_host: str) -> float:
         """Forecast bandwidth for a host pair.
@@ -159,10 +195,11 @@ class CliqueAggregator:
         """
         if src_host == dst_host:
             return math.inf
+        self._flush()
         key = self._key(src_host, dst_host)
-        selector = self._selectors.get(key)
-        if selector is not None:
-            return selector.predict()
+        row = self._rows.get(key)
+        if row is not None:
+            return self._bank.report(row)[0]
         if self.site_of[src_host] == self.site_of[dst_host]:
             return self.intra_site_bandwidth
         return math.nan
@@ -172,20 +209,42 @@ class CliqueAggregator:
 
         This feeds the paper's suggested automatic ε.
         """
-        key = self._key(src_host, dst_host)
-        selector = self._selectors.get(key)
-        if selector is None:
+        self._flush()
+        row = self._rows.get(self._key(src_host, dst_host))
+        if row is None:
             return math.nan
-        return selector.prediction_error()
+        return self._bank.prediction_error(row)
 
     def build_matrix(self) -> PerformanceMatrix:
-        """Expand the site-level forecasts into a host-level matrix."""
-        matrix = PerformanceMatrix(self.hosts)
-        for src in self.hosts:
-            for dst in self.hosts:
-                if src == dst:
-                    continue
-                bw = self.forecast(src, dst)
-                if not math.isnan(bw) and bw > 0:
-                    matrix.set_bandwidth(src, dst, bw)
+        """Expand the site-level forecasts into a host-level matrix.
+
+        Forecasts once per stream, then fills every host pair from its
+        stream through site-index arrays.
+        """
+        self._flush()
+        hosts = self.hosts
+        host_index = {h: i for i, h in enumerate(hosts)}
+        sites = sorted(set(self.site_of.values()))
+        site_index = {s: i for i, s in enumerate(sites)}
+        site_of = np.array([site_index[self.site_of[h]] for h in hosts])
+        same_site = site_of[:, None] == site_of[None, :]
+
+        rows = np.fromiter(self._rows.values(), dtype=np.int64, count=len(self._rows))
+        forecasts = self._bank.predict(rows).tolist()
+        site_bw = np.full((len(sites), len(sites)), math.nan)
+        intra_bw = np.full((len(hosts), len(hosts)), self.intra_site_bandwidth)
+        for (a, b), bw in zip(self._rows, forecasts):
+            # a key may name a site pair, an intra-site host pair, or both
+            if a != b and a in site_index and b in site_index:
+                site_bw[site_index[a], site_index[b]] = bw
+            if a in host_index and b in host_index and (
+                self.site_of[a] == self.site_of[b]
+            ):
+                intra_bw[host_index[a], host_index[b]] = bw
+
+        bw = np.where(same_site, intra_bw, site_bw[site_of[:, None], site_of[None, :]])
+        keep = np.isfinite(bw) & (bw > 0)
+        np.fill_diagonal(keep, False)
+        matrix = PerformanceMatrix(hosts)
+        matrix._bw[keep] = bw[keep]
         return matrix

@@ -16,7 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.nws.forecasters import Forecaster, default_battery
+import numpy as np
+
+from repro.nws.bank import ForecastBank
+from repro.nws.forecasters import Forecaster
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,10 @@ class ForecastReport:
 class AdaptiveSelector:
     """Runs a forecaster battery and answers with the lowest-MSE member.
 
+    The one-series case of :class:`~repro.nws.bank.ForecastBank`, so a
+    single stream and the clique aggregator's streams share one scoring
+    loop.
+
     Parameters
     ----------
     battery:
@@ -55,14 +62,8 @@ class AdaptiveSelector:
     """
 
     def __init__(self, battery: list[Forecaster] | None = None) -> None:
-        self._battery = battery if battery is not None else default_battery()
-        if not self._battery:
-            raise ValueError("battery must contain at least one forecaster")
-        n = len(self._battery)
-        self._sq_err = [0.0] * n
-        self._abs_err = [0.0] * n
-        self._scored = 0
-        self._last_value = math.nan
+        self._bank = ForecastBank(battery)
+        self._bank.add_series()  # the only series: row 0
 
     def update(self, value: float) -> None:
         """Score every forecaster against ``value``, then absorb it.
@@ -73,40 +74,25 @@ class AdaptiveSelector:
             If ``value`` is NaN, infinite or negative; nothing is
             changed then.
         """
-        if not 0.0 <= value < math.inf:
-            raise ValueError(
-                f"measurement {value!r} is not a finite non-negative number"
-            )
-        sq_err, abs_err = self._sq_err, self._abs_err
-        any_scored = False
-        for i, forecaster in enumerate(self._battery):
-            pred = forecaster.predict()
-            if pred == pred:  # not nan: the forecaster has data
-                err = pred - value
-                sq_err[i] += err * err
-                abs_err[i] += abs(err)
-                any_scored = True
-        if any_scored:
-            self._scored += 1
-        for forecaster in self._battery:
-            forecaster.update(value)
-        self._last_value = value
+        self._bank.update(_ROW_0, np.array([_checked(value)], dtype=float))
 
     def extend(self, values) -> None:
-        """Absorb an iterable of measurements in order."""
-        for v in values:
-            self.update(v)
+        """Absorb an iterable of measurements in order.
+
+        Measurements before a rejected one are absorbed.
+        """
+        good = []
+        try:
+            for v in values:
+                good.append(_checked(v))
+        finally:
+            self._bank.extend(_ROW_0, [good])
 
     # -- queries -----------------------------------------------------------
     @property
     def samples_scored(self) -> int:
         """Measurements against which forecasts have been scored."""
-        return self._scored
-
-    def _winner_index(self) -> int:
-        if self._scored == 0:
-            return 0
-        return min(range(len(self._battery)), key=lambda i: self._sq_err[i])
+        return self._bank.samples_scored(0)
 
     def forecast(self) -> ForecastReport:
         """Predict the next measurement with the current best forecaster.
@@ -116,16 +102,15 @@ class AdaptiveSelector:
         ValueError
             If no measurements have been absorbed yet.
         """
-        if math.isnan(self._last_value):
+        if self._bank.samples(0) == 0:
             raise ValueError("no measurements absorbed yet")
-        i = self._winner_index()
-        n = max(self._scored, 1)
+        value, i, mse, mae = self._bank.report(0)
         return ForecastReport(
-            value=self._battery[i].predict(),
-            forecaster=self._battery[i].name,
-            mse=self._sq_err[i] / n,
-            mae=self._abs_err[i] / n,
-            samples=self._scored,
+            value=value,
+            forecaster=self._bank.names[i],
+            mse=mse,
+            mae=mae,
+            samples=self.samples_scored,
         )
 
     def predict(self) -> float:
@@ -138,16 +123,19 @@ class AdaptiveSelector:
         Dimensionless and comparable to an ε fraction; ``nan`` until at
         least one forecast has been scored.
         """
-        if self._scored == 0 or math.isnan(self._last_value):
-            return math.nan
-        report = self.forecast()
-        if self._last_value == 0:
-            return math.inf
-        return report.mae / abs(self._last_value)
+        return self._bank.prediction_error(0)
 
     def error_table(self) -> dict[str, float]:
         """Per-forecaster MSE so far (for diagnostics and tests)."""
-        n = max(self._scored, 1)
-        return {
-            f.name: self._sq_err[i] / n for i, f in enumerate(self._battery)
-        }
+        return self._bank.error_table(0)
+
+
+_ROW_0 = np.array([0])
+
+
+def _checked(value: float) -> float:
+    if not 0.0 <= value < math.inf:
+        raise ValueError(
+            f"measurement {value!r} is not a finite non-negative number"
+        )
+    return value

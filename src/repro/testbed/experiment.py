@@ -231,14 +231,18 @@ def _probe(
 ) -> None:
     """Feed noisy bandwidth observations, one representative host pair
     per site pair plus intra-site pairs."""
-    for src_site, dst_site in testbed.site_pairs():
-        src = testbed.hosts_at(src_site)[0]
-        dst = testbed.hosts_at(dst_site)[0]
+    # each site's first host in sorted order, as Testbed.hosts_at(site)[0]
+    first_host: dict[str, str] = {}
+    for host in sorted(testbed.site_of):
+        first_host.setdefault(testbed.site_of[host], host)
+    site_pairs = testbed.site_pairs()
+    # one block, drawn in the order of one draw per probe
+    noise = rng.lognormal(0.0, sigma, size=(len(site_pairs), probes))
+    for (src_site, dst_site), factors in zip(site_pairs, noise.tolist()):
+        src, dst = first_host[src_site], first_host[dst_site]
         base = truth.bandwidth(src, dst)
-        for _ in range(probes):
-            aggregator.observe(
-                src, dst, base * float(rng.lognormal(0.0, sigma))
-            )
+        for factor in factors:
+            aggregator.observe(src, dst, base * factor)
 
 
 def _probe_with_sensors(

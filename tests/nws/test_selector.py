@@ -15,6 +15,13 @@ class TestBasics:
         with pytest.raises(ValueError):
             AdaptiveSelector(battery=[])
 
+    def test_battery_needs_batched_forecasters(self):
+        class Custom(LastValue):
+            pass
+
+        with pytest.raises(TypeError, match="Custom"):
+            AdaptiveSelector(battery=[Custom()])
+
     def test_forecast_before_data_raises(self):
         with pytest.raises(ValueError):
             AdaptiveSelector().forecast()
