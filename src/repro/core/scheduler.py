@@ -30,6 +30,7 @@ import numpy as np
 from repro.core.minimax import (
     CostGraph,
     MinimaxTree,
+    build_mmp_forest,
     build_mmp_tree,
     repair_mmp_tree,
 )
@@ -295,6 +296,67 @@ class LogisticalScheduler:
         """Shorthand: the chosen host sequence for a pair."""
         return self.decide(source, dest).route
 
+    # -- whole-matrix sweeps ---------------------------------------------------
+    def _trees_for(self, sources: list[str]) -> list[MinimaxTree]:
+        """Cached trees for ``sources``; missing ones are built together
+        in one :func:`build_mmp_forest` call (a lone one by
+        :meth:`tree`)."""
+        eps = self.epsilon
+        missing = [
+            s
+            for s in sources
+            if (t := self._trees.get(s)) is None or t.epsilon != eps
+        ]
+        if len(missing) > 1:
+            self._trees.update(
+                build_mmp_forest(
+                    self._graph,
+                    missing,
+                    eps,
+                    relay_nodes=self.depot_hosts,
+                    dense=self._dense_cost(),
+                )
+            )
+        return [self.tree(s) for s in sources]
+
+    def _use_lsl(self, sources: list[str]) -> np.ndarray:
+        """``decide(s, d).use_lsl`` for every source row and host column.
+
+        A pair is relayed when its destination was reached, its route
+        leaves the source through a depot (``parent[d] != s``) and
+        ``direct / scheduled >= min_gain``, with :meth:`_decision`'s
+        guards: a non-positive scheduled or non-finite direct cost
+        counts as an infinite gain.  The diagonal is False.
+        """
+        hosts = self._graph.hosts
+        trees = self._trees_for(sources)
+        inf = math.inf
+        scheduled = np.array(
+            [[t.cost.get(h, inf) for h in hosts] for t in trees]
+        )
+        relayed = np.array(
+            [
+                [t.parent.get(h, s) != s for h in hosts]
+                for s, t in zip(sources, trees)
+            ],
+            dtype=bool,
+        ).reshape(len(sources), len(hosts))
+        dense = self._dense_cost()
+        if dense is not None:
+            index = {h: i for i, h in enumerate(hosts)}
+            direct = dense[[index[s] for s in sources]]
+        else:
+            direct = np.array(
+                [[self._graph.cost(s, d) for d in hosts] for s in sources]
+            )
+        gain = np.divide(
+            direct,
+            scheduled,
+            out=np.full(direct.shape, inf),
+            where=(scheduled > 0) & np.isfinite(direct),
+        )
+        return relayed & (gain >= self.min_gain)
+
     # -- route tables ---------------------------------------------------------
     def route_table(self, node: str) -> dict[str, str]:
         """Destination → next-hop entries for ``node``'s depot.
@@ -306,64 +368,62 @@ class LogisticalScheduler:
         The flattening is memoized: the tree's first hops are computed
         in one pass (:meth:`MinimaxTree.first_hops`) and the finished
         table is cached per node until :meth:`invalidate` or an ε
-        change — a scheduler sweep touches every (node, dest) pair, and
-        per-pair ``decide()`` walks were the dominant cost.
+        change.
         """
-        hit = self._route_tables.get(node)
-        if hit is not None and hit[0] == self.epsilon:
-            return dict(hit[1])
-        tree = self.tree(node)
-        hops = tree.first_hops()
-        table: dict[str, str] = {}
-        for dest in self._graph.hosts:
-            if dest == node:
-                continue
-            # mirror decide(): a depot hop is issued only for a reached,
-            # relayed destination whose predicted gain clears min_gain
-            first = hops.get(dest)
-            hop = dest
-            if first is not None and first != dest:
-                direct_cost = self._graph.cost(node, dest)
-                scheduled_cost = tree.cost_to(dest)
-                gain = (
-                    direct_cost / scheduled_cost
-                    if scheduled_cost > 0 and math.isfinite(direct_cost)
-                    else math.inf
-                )
-                if gain >= self.min_gain:
-                    hop = first
-            table[dest] = hop
-        self._route_tables[node] = (self.epsilon, table)
-        return dict(table)
+        return self._tables([node])[0]
 
     def all_route_tables(self) -> dict[str, dict[str, str]]:
         """Route tables for every host (one scheduler sweep)."""
-        return {node: self.route_table(node) for node in self._graph.hosts}
+        hosts = list(self._graph.hosts)
+        return dict(zip(hosts, self._tables(hosts)))
+
+    def _tables(self, nodes: list[str]) -> list[dict[str, str]]:
+        """Copies of the memoized route tables of ``nodes``; stale ones
+        are rebuilt from one :meth:`_use_lsl` sweep, a relayed
+        destination mapping to its first hop."""
+        eps = self.epsilon
+        stale = [
+            h
+            for h in nodes
+            if (hit := self._route_tables.get(h)) is None or hit[0] != eps
+        ]
+        if stale:
+            hosts = self._graph.hosts
+            for node, row in zip(stale, self._use_lsl(stale).tolist()):
+                hops = self.tree(node).first_hops()
+                self._route_tables[node] = (
+                    eps,
+                    {
+                        dest: hops[dest] if relay else dest
+                        for dest, relay in zip(hosts, row)
+                        if dest != node
+                    },
+                )
+        return [dict(self._route_tables[h][1]) for h in nodes]
 
     # -- statistics -------------------------------------------------------------
     def coverage(self) -> float:
         """Fraction of ordered pairs given a depot route.
 
         The paper: "The scheduler identified better routes via depots for
-        26 % of the total number of paths in the system."
+        26 % of the total number of paths in the system."  Equal to
+        counting ``decide(src, dst).use_lsl`` over every ordered pair,
+        computed as one sweep: the missing trees are built as one MMP
+        forest and the decisions are array operations.
         """
-        hosts = self._graph.hosts
-        total = 0
-        relayed = 0
-        for src in hosts:
-            for dst in hosts:
-                if src == dst:
-                    continue
-                total += 1
-                if self.decide(src, dst).use_lsl:
-                    relayed += 1
-        return relayed / total if total else 0.0
+        hosts = list(self._graph.hosts)
+        total = len(hosts) * (len(hosts) - 1)
+        if not total:
+            return 0.0
+        return int(self._use_lsl(hosts).sum()) / total
 
     def lsl_pairs(self) -> list[tuple[str, str]]:
-        """All ordered pairs for which a depot route was issued."""
-        return [
-            (src, dst)
-            for src in self._graph.hosts
-            for dst in self._graph.hosts
-            if src != dst and self.decide(src, dst).use_lsl
-        ]
+        """All ordered pairs for which a depot route was issued.
+
+        Equal to filtering every ordered pair by ``decide(src,
+        dst).use_lsl``, in host order, but computed as one sweep like
+        :meth:`coverage`.
+        """
+        hosts = list(self._graph.hosts)
+        src, dst = np.nonzero(self._use_lsl(hosts))
+        return [(hosts[s], hosts[d]) for s, d in zip(src.tolist(), dst.tolist())]

@@ -30,9 +30,8 @@ from dataclasses import replace
 from repro.models.transfer_time import (
     steady_state_rate,
     transfer_model,
-    transient_rate,
 )
-from repro.net.tcp import TcpConfig
+from repro.net.tcp import DEFAULT_TCP_CONFIG, TcpConfig
 from repro.net.topology import PathSpec
 from repro.util.validation import check_positive
 
@@ -61,7 +60,7 @@ def relay_transfer_time(
     if not paths:
         raise ValueError("at least one path is required")
     check_positive("size", size)
-    config = config or TcpConfig()
+    config = config or DEFAULT_TCP_CONFIG
     if len(paths) == 1:
         return transfer_model(paths[0], size, config).total
 
@@ -69,7 +68,7 @@ def relay_transfer_time(
     starts = relay_start_times(paths)
 
     # bottleneck = slowest transient sender for this size
-    rates = [transient_rate(p, size, config) for p in paths]
+    rates = [m.transient_rate(size) for m in models]
     bottleneck_idx = min(range(len(paths)), key=lambda i: rates[i])
     bn = models[bottleneck_idx]
 
@@ -199,7 +198,7 @@ def pipeline_fill_time(
     of total buffers."
     """
     check_positive("depot_capacity", depot_capacity)
-    config = config or TcpConfig()
+    config = config or DEFAULT_TCP_CONFIG
     r_up = steady_state_rate(upstream, config)
     r_down = steady_state_rate(downstream, config)
     if r_up <= r_down:

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from repro.models.mathis import mathis_rate
-from repro.net.tcp import TcpConfig
+from repro.net.tcp import DEFAULT_TCP_CONFIG, TcpConfig
 from repro.net.topology import PathSpec
 from repro.util.validation import check_positive
 
@@ -44,23 +44,12 @@ def steady_state_rate(path: PathSpec, config: TcpConfig | None = None) -> float:
     *identification*; completion times use the transient integration in
     :func:`transfer_model`.
     """
-    config = config or TcpConfig()
+    config = config or DEFAULT_TCP_CONFIG
     return min(
         path.window_limit / path.rtt,
         path.bandwidth,
         mathis_rate(config.mss, path.rtt, path.loss_rate),
     )
-
-
-def transient_rate(path: PathSpec, size: int, config: TcpConfig | None = None) -> float:
-    """Average rate actually achieved by a ``size``-byte transfer, counting
-    only time after the handshake.  This is the right bottleneck metric
-    for the transfer sizes the paper studies."""
-    m = transfer_model(path, size, config)
-    busy = m.ramp_time + m.steady_time
-    if busy <= 0:
-        return steady_state_rate(path, config)
-    return size / busy
 
 
 @dataclass(frozen=True)
@@ -98,6 +87,16 @@ class TransferModel:
         """End-to-end completion time in seconds."""
         return self.handshake + self.ramp_time + self.steady_time + self.tail
 
+    def transient_rate(self, size: int) -> float:
+        """Average rate actually achieved by the ``size``-byte transfer
+        modelled, counting only time after the handshake (the steady
+        rate when that time is zero).  This is the right bottleneck
+        metric for the transfer sizes the paper studies."""
+        busy = self.ramp_time + self.steady_time
+        if busy <= 0:
+            return self.rate
+        return size / busy
+
 
 def transfer_model(
     path: PathSpec, size: int, config: TcpConfig | None = None
@@ -114,7 +113,7 @@ def transfer_model(
         TCP parameters (initial window, MSS, initial ssthresh).
     """
     check_positive("size", size)
-    config = config or TcpConfig()
+    config = config or DEFAULT_TCP_CONFIG
     mss = float(config.mss)
     rtt = path.rtt
     cap = min(path.window_limit / rtt, path.bandwidth)  # max send rate

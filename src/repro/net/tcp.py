@@ -66,6 +66,12 @@ class TcpConfig:
             raise ValueError(f"loss_mode={self.loss_mode!r} not recognised")
 
 
+#: The configuration used wherever none is passed.  ``TcpConfig`` is
+#: frozen, so one shared instance spares the models a validated
+#: construction per call.
+DEFAULT_TCP_CONFIG = TcpConfig()
+
+
 class TcpState:
     """Mutable congestion-control state of one connection.
 

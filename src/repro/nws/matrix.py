@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from repro.nws.bank import ForecastBank
-from repro.util.validation import check_positive
+from repro.util.validation import ValidationError, check_positive
 
 
 class PerformanceMatrix:
@@ -116,11 +116,11 @@ class CliqueAggregator:
     """Site-clique NWS aggregation into a host-level matrix.
 
     Every stream lives in one :class:`~repro.nws.bank.ForecastBank`.
-    :meth:`observe` validates a probe and queues it on its stream; the
-    next query (:meth:`build_matrix`, :meth:`forecast`,
-    :meth:`prediction_error` or :meth:`stream_count`) flushes every
-    queued probe through the bank, round by round, each stream in its
-    own order.
+    :meth:`observe` validates a probe and queues it on its stream
+    (:meth:`observe_block`, a block of them); the next query
+    (:meth:`build_matrix`, :meth:`forecast`, :meth:`prediction_error`
+    or :meth:`stream_count`) flushes every queued probe through the
+    bank, round by round, each stream in its own order.
 
     Parameters
     ----------
@@ -164,11 +164,42 @@ class CliqueAggregator:
             unchanged then.
         """
         check_positive("value", value)
+        self._queue(src_host, dst_host).append(value)
+
+    def observe_block(self, src_host: str, dst_host: str, values) -> None:
+        """Queue a block of probes (bytes/sec) on one stream, in order.
+
+        Equal to calling :meth:`observe` on each value, but the block is
+        validated as a whole with array operations.
+
+        Raises
+        ------
+        ValueError
+            If any value is not a finite positive number (or the block
+            is not a one-dimensional numeric array); nothing is queued
+            then, so the stream is unchanged.
+        """
+        block = np.asarray(values)
+        if block.ndim != 1 or block.dtype.kind not in "fiu":
+            raise ValidationError(
+                f"values={values!r} invalid: must be a 1-d array of numbers"
+            )
+        if not block.size:
+            return
+        if not (block.min() > 0 and block.max() < math.inf):
+            bad = block[~((block > 0) & (block < math.inf))][0]
+            raise ValidationError(
+                f"value={float(bad)!r} invalid: must be a finite positive number"
+            )
+        self._queue(src_host, dst_host).extend(block.tolist())
+
+    def _queue(self, src_host: str, dst_host: str) -> list[float]:
+        """The pending probes of the pair's stream."""
         key = self._key(src_host, dst_host)
         pending = self._pending.get(key)
         if pending is None:
             pending = self._pending[key] = []
-        pending.append(value)
+        return pending
 
     def _flush(self) -> None:
         """Run every queued probe through the bank."""

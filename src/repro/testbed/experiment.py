@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.scheduler import LogisticalScheduler, ScheduleDecision
 from repro.models.relay import relay_transfer_time
 from repro.models.transfer_time import transfer_time
@@ -207,6 +209,11 @@ class _DriftingTruth:
     def bandwidth(self, src: str, dst: str) -> float:
         return self._testbed.true_bandwidth(src, dst) * self.factor(src, dst)
 
+    def bandwidths(self, pairs: list[tuple[str, str]]) -> np.ndarray:
+        """:meth:`bandwidth` of every pair, bit for bit, in one pass."""
+        factors = np.array([self.factor(src, dst) for src, dst in pairs])
+        return self._testbed.true_bandwidths(pairs) * factors
+
     def scale_spec(self, spec: PathSpec, src: str, dst: str) -> PathSpec:
         f = self.factor(src, dst)
         if f == 1.0:
@@ -235,14 +242,12 @@ def _probe(
     first_host: dict[str, str] = {}
     for host in sorted(testbed.site_of):
         first_host.setdefault(testbed.site_of[host], host)
-    site_pairs = testbed.site_pairs()
+    pairs = [(first_host[a], first_host[b]) for a, b in testbed.site_pairs()]
     # one block, drawn in the order of one draw per probe
-    noise = rng.lognormal(0.0, sigma, size=(len(site_pairs), probes))
-    for (src_site, dst_site), factors in zip(site_pairs, noise.tolist()):
-        src, dst = first_host[src_site], first_host[dst_site]
-        base = truth.bandwidth(src, dst)
-        for factor in factors:
-            aggregator.observe(src, dst, base * factor)
+    noise = rng.lognormal(0.0, sigma, size=(len(pairs), probes))
+    samples = truth.bandwidths(pairs)[:, None] * noise
+    for (src, dst), block in zip(pairs, samples):
+        aggregator.observe_block(src, dst, block)
 
 
 def _probe_with_sensors(
@@ -351,6 +356,7 @@ def run_campaign(
             sampled_pairs = pairs
 
         cases: list[_PreparedCase] = []
+        sublinks: dict[tuple[str, ...], tuple[PathSpec, ...]] = {}
         for src, dst in sampled_pairs:
             decision = scheduler.decide(src, dst)
             if round_index == 0:
@@ -362,7 +368,7 @@ def run_campaign(
                             testbed, truth, src, dst, size,
                             use_lsl=False, route=(src, dst),
                             config=config, rng=noise_rng,
-                            round_index=round_index,
+                            round_index=round_index, sublinks=sublinks,
                         )
                     )
                     route = tuple(decision.route) if decision.use_lsl else (src, dst)
@@ -371,7 +377,7 @@ def run_campaign(
                             testbed, truth, src, dst, size,
                             use_lsl=decision.use_lsl, route=route,
                             config=config, rng=noise_rng,
-                            round_index=round_index,
+                            round_index=round_index, sublinks=sublinks,
                         )
                     )
         # one pricing pass per round: the whole round becomes a single
@@ -436,6 +442,7 @@ def run_random_campaign(
     )
     noise_rng = rng.child("noise")
     cases: list[_PreparedCase] = []
+    sublinks: dict[tuple[str, ...], tuple[PathSpec, ...]] = {}
     decisions: dict[tuple[str, str], ScheduleDecision] = {}
     for request in generator.batch(n_requests):
         decision = decisions.get((request.src, request.dst))
@@ -454,6 +461,7 @@ def run_random_campaign(
                 testbed, truth, request.src, request.dst, request.size,
                 use_lsl=request.use_lsl, route=route,
                 config=config, rng=noise_rng, round_index=0,
+                sublinks=sublinks,
             )
         )
 
@@ -513,6 +521,32 @@ class _PreparedCase:
     round_index: int
 
 
+def _route_paths(
+    testbed: Testbed,
+    truth: _DriftingTruth,
+    route: tuple[str, ...],
+    memo: dict[tuple[str, ...], tuple[PathSpec, ...]],
+) -> tuple[PathSpec, ...]:
+    """Drift-scaled sublink specs of ``route``, memoized in ``memo``.
+
+    A relayed route (three hosts or more) charges its depots their
+    forwarding caps (:meth:`Testbed.route_specs`); a host pair is one
+    :meth:`Testbed.sublink_spec`.  The memo must not outlive the round:
+    drift moves the truth between rounds.
+    """
+    paths = memo.get(route)
+    if paths is None:
+        if len(route) > 2:
+            specs = testbed.route_specs(list(route))
+        else:
+            specs = [testbed.sublink_spec(*route)]
+        paths = memo[route] = tuple(
+            truth.scale_spec(spec, a, b)
+            for spec, (a, b) in zip(specs, zip(route, route[1:]))
+        )
+    return paths
+
+
 def _prepare_case(
     testbed: Testbed,
     truth: _DriftingTruth,
@@ -524,13 +558,11 @@ def _prepare_case(
     config: CampaignConfig,
     rng: RngStream,
     round_index: int,
+    sublinks: dict[tuple[str, ...], tuple[PathSpec, ...]],
 ) -> _PreparedCase:
+    """One case; ``sublinks`` memoizes route specs for the round."""
     if use_lsl and len(route) > 2:
-        specs = testbed.route_specs(list(route))
-        specs = [
-            truth.scale_spec(spec, a, b)
-            for spec, (a, b) in zip(specs, zip(route, route[1:]))
-        ]
+        specs = _route_paths(testbed, truth, route, sublinks)
         # transient load on each intermediate depot throttles both of
         # its adjacent sublinks
         loads = {
@@ -551,9 +583,7 @@ def _prepare_case(
             scaled.append(spec)
         paths = tuple(scaled)
     else:
-        paths = (
-            truth.scale_spec(testbed.sublink_spec(src, dst), src, dst),
-        )
+        paths = _route_paths(testbed, truth, (src, dst), sublinks)
     noise = float(rng.lognormal(0.0, config.measure_noise_sigma))
     return _PreparedCase(
         src=src,
@@ -591,7 +621,15 @@ def _finish_cases(
         )
         durations = [result.duration for result in results]
     else:
-        durations = [_model_duration(case, tcp_config) for case in cases]
+        # price each distinct (paths, size) once; the noise stays per case
+        priced: dict[tuple[tuple[PathSpec, ...], int], float] = {}
+        durations = []
+        for case in cases:
+            key = (case.paths, case.size)
+            duration = priced.get(key)
+            if duration is None:
+                duration = priced[key] = _model_duration(case, tcp_config)
+            durations.append(duration)
     return [
         MeasuredTransfer(
             src=case.src,

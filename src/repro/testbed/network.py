@@ -13,13 +13,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.net.topology import PathSpec, Topology
+import numpy as np
+
+from repro.models.mathis import MATHIS_C
 from repro.models.transfer_time import steady_state_rate
+from repro.net.tcp import DEFAULT_TCP_CONFIG
+from repro.net.topology import PathSpec, Topology
+from repro.util.validation import check_positive, check_probability
 
 
 def gateway_name(site_domain: str) -> str:
     """The topology node standing for a site's border router."""
     return f"gw.{site_domain}"
+
+
+def _check_each(check, name: str, values: np.ndarray, ok: np.ndarray) -> None:
+    """Raise as ``check(name, v)`` does for the first ``v`` not ``ok``."""
+    if not ok.all():
+        check(name, float(values[~ok][0]))
 
 
 @dataclass
@@ -146,6 +157,80 @@ class Testbed:
         steady-state rate of the sublink (window, wire and loss limits).
         """
         return steady_state_rate(self.sublink_spec(src, dst))
+
+    def true_bandwidths(self, pairs: list[tuple[str, str]]) -> np.ndarray:
+        """:meth:`true_bandwidth` of every ``(src, dst)`` pair, in one pass.
+
+        Bit for bit ``[self.true_bandwidth(s, d) for s, d in pairs]``:
+        the same float operations in the same order as
+        :meth:`sublink_spec` → :meth:`Topology.path_spec` →
+        :func:`steady_state_rate`, run over columns of per-pair link
+        arrays instead of through one validated :class:`PathSpec` per
+        pair.  It validates what ``PathSpec`` would: every rtt and
+        bandwidth finite and positive, every loss rate in ``[0, 1]``.
+        """
+        if any(src == dst for src, dst in pairs):
+            raise ValueError("src and dst are the same host")
+        routes = [self._route_nodes(src, dst) for src, dst in pairs]
+        rows = [
+            [
+                (link.latency, link.bandwidth, link.loss_rate)
+                for link in self.topology.route_links(route)
+            ]
+            for route in routes
+        ]
+        width = max(map(len, rows), default=0)
+        # padding that leaves every sum, minimum and product unchanged
+        pad = [(0.0, math.inf, 0.0)]
+        links = np.array(
+            [row + pad * (width - len(row)) for row in rows]
+        ).reshape(len(rows), width, 3)
+        lat, bw, loss = links[..., 0], links[..., 1], links[..., 2]
+        # Topology.path_spec: sequential sum and product, as in Python
+        latency = np.zeros(len(rows))
+        survive = np.ones(len(rows))
+        for k in range(width):
+            latency = latency + lat[:, k]
+            survive = survive * (1.0 - loss[:, k])
+        rtt = 2.0 * latency
+        bandwidth = bw.min(axis=1, initial=math.inf)
+        loss_rate = 1.0 - survive
+        buffers = self.topology.socket_buffer
+        window = np.array(
+            [
+                min(buffers(route[0]), buffers(route[-1]))
+                for route in routes
+            ],
+            dtype=float,
+        )
+        # sublink_spec: both hosts' administrative caps
+        inf = math.inf
+        cap = np.array(
+            [
+                min(self.rate_cap.get(src, inf), self.rate_cap.get(dst, inf))
+                for src, dst in pairs
+            ]
+        )
+        _check_each(check_positive, "rtt", rtt, (rtt > 0) & (rtt < inf))
+        _check_each(
+            check_probability,
+            "loss_rate",
+            loss_rate,
+            (loss_rate >= 0.0) & (loss_rate <= 1.0),
+        )
+        bandwidth = np.where(cap < bandwidth, cap, bandwidth)
+        _check_each(
+            check_positive,
+            "bandwidth",
+            bandwidth,
+            (bandwidth > 0) & (bandwidth < inf),
+        )
+        # steady_state_rate: min(window / rtt, bandwidth, mathis_rate)
+        mss = DEFAULT_TCP_CONFIG.mss
+        mathis = np.full(len(rows), inf)
+        lossy = loss_rate != 0.0
+        mathis[lossy] = MATHIS_C * mss / (rtt[lossy] * np.sqrt(loss_rate[lossy]))
+        return np.minimum(np.minimum(window / rtt, bandwidth), mathis)
 
     def site_pairs(self) -> list[tuple[str, str]]:
         """All ordered distinct site-domain pairs."""

@@ -132,3 +132,42 @@ class TestSchedulerInputs:
     def test_hosts_at(self):
         tb = tiny_testbed()
         assert tb.hosts_at("a.edu") == ["h1.a.edu", "h2.a.edu"]
+
+
+class TestTrueBandwidths:
+    """The array pass equals :meth:`true_bandwidth` per pair, bit for bit."""
+
+    @staticmethod
+    def _assert_equal(tb, pairs):
+        got = tb.true_bandwidths(pairs).tolist()
+        assert repr(got) == repr([tb.true_bandwidth(s, d) for s, d in pairs])
+
+    def test_tiny_testbed_every_pair(self):
+        tb = tiny_testbed(rate_cap={"h3.b.edu": 1e5, "h1.a.edu": 3e6})
+        self._assert_equal(
+            tb, [(s, d) for s in tb.hosts for d in tb.hosts if s != d]
+        )
+
+    def test_generated_testbeds(self):
+        from repro.testbed.abilene import abilene_testbed
+        from repro.testbed.planetlab import PlanetLabConfig, generate_planetlab
+
+        for tb in (
+            generate_planetlab(PlanetLabConfig(n_sites=12), seed=3),
+            abilene_testbed(seed=1),
+        ):
+            pairs = [(s, d) for s in tb.hosts for d in tb.hosts if s != d]
+            self._assert_equal(tb, pairs[::7])
+
+    def test_empty_and_invalid(self):
+        tb = tiny_testbed(rate_cap={"h3.b.edu": -1.0})
+        assert tb.true_bandwidths([]).size == 0
+        with pytest.raises(ValueError):
+            tb.true_bandwidths([("h1.a.edu", "h1.a.edu")])
+        # a non-positive cap fails as the capped PathSpec would
+        with pytest.raises(ValueError, match="bandwidth"):
+            tb.true_bandwidth("h1.a.edu", "h3.b.edu")
+        with pytest.raises(ValueError, match="bandwidth"):
+            tb.true_bandwidths(
+                [("h1.a.edu", "h2.a.edu"), ("h1.a.edu", "h3.b.edu")]
+            )
