@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.net.depot_sim import RelayPipeline
 from repro.net.tcp import TcpConfig
 from repro.net.vectorized import BatchSpec, VectorizedBatch
@@ -695,12 +693,24 @@ class NetworkSimulator:
         set of one :meth:`run_relay` (or, when it carries faults, one
         :meth:`run_relay_with_faults`) call.  With ``vectorized=False``
         the specs dispatch to those scalar runners one at a time — the
-        conformance oracle.  With ``vectorized=True`` (the default) all
-        chains advance together as element-wise array operations; the
-        results are *identical*, not merely close (pinned by
-        ``tests/net/test_vectorized_equivalence.py``), because batching
-        independent chains only reorders their interleaving while every
-        per-chain float operation stays the same.
+        conformance oracle.  With ``vectorized=True`` (the default) the
+        batch runs on :class:`~repro.net.vectorized.VectorizedBatch`:
+        every chain is a pipeline of stores (source, depots, sink) and
+        every sublink a cell moving bytes from store ``k`` to store
+        ``k + 1``, and one step advances every (sublink, lane) cell at
+        once — all deliveries, then all acks, then all sends computed
+        from the pre-send stores.  A sublink's send reads only its own
+        upstream store and its downstream store's occupancy and
+        reservation, which the next sublink's send writes only after,
+        so this order hands each float operation the operands the
+        scalar runner does: results are *identical*, not merely close
+        (pinned by ``tests/net/test_vectorized_equivalence.py`` and
+        ``tests/net/test_batch_golden.py``).
+
+        Per step the driver then feeds timeline emitters and applies
+        due faults, and retires the lanes whose sink reached the
+        transfer size during the step (the engine reports them, so no
+        per-step scan of every lane is needed).
 
         The vectorized path supports ``loss_mode="deterministic"`` only
         and raises ``ValueError`` for random loss (whose per-flow RNG
@@ -823,8 +833,8 @@ class NetworkSimulator:
         }
         completed = {i: True for i in policies}
 
-        while bool(batch.alive.any()):
-            batch.step_all()
+        while batch.cells.size:
+            reached = batch.step_all()
             for lane, emitter in emitters.items():
                 if batch.alive[lane]:
                     emitter.observe(float(batch.now[lane]))
@@ -838,10 +848,8 @@ class NetworkSimulator:
                 for fi, fault in enumerate(spec.faults):
                     if remaining[fi] <= 0:
                         continue
-                    delivered = float(
-                        batch.slots[fault.sublink].delivered[lane]
-                    )
-                    if delivered < fault.after_bytes:
+                    cell = batch.cell(lane, fault.sublink)
+                    if float(batch.delivered[cell]) < fault.after_bytes:
                         continue
                     remaining[fi] -= 1
                     attempt = per_sub.get(fault.sublink, 0)
@@ -868,33 +876,28 @@ class NetworkSimulator:
                         emitters[lane].resumed(
                             fault.sublink,
                             now_l,
-                            float(
-                                batch.slots[fault.sublink].delivered[lane]
-                            ),
+                            float(batch.delivered[cell]),
                         )
                 if not completed[lane]:
                     # retry budget exhausted: freeze this lane now
-                    if (
-                        float(batch.received[lane])
-                        >= float(batch.sizes[lane]) - 0.5
-                    ):
+                    if batch.received(lane) >= float(batch.sizes[lane]) - 0.5:
                         batch.durations[lane] = (
                             batch.refine_completion_time(lane)
                         )
                     else:
                         batch.durations[lane] = float(batch.now[lane])
                     batch.drain_chain(lane)
-                    batch.aborted[lane] = True
-                    batch.alive[lane] = False
-            for lane in np.flatnonzero(batch.complete_mask()):
-                lane = int(lane)
+                    batch.retire(lane)
+            for lane in reached:
+                if not batch.complete(lane):
+                    continue  # a restart rolled the sink back this step
                 batch.durations[lane] = batch.refine_completion_time(lane)
                 batch.drain_chain(lane)
                 if lane in emitters:
                     emitters[lane].observe(
                         float(batch.now[lane]) + batch.max_rtt(lane)
                     )
-                batch.alive[lane] = False
+                batch.retire(lane)
 
         results = []
         for i, spec in enumerate(specs):

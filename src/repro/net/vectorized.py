@@ -3,20 +3,48 @@
 The scalar :class:`~repro.net.depot_sim.RelayPipeline` steps one flow at
 a time in interpreted Python — fine for a handful of sublinks, far too
 slow for campaigns with thousands of concurrent transfers.  This module
-steps a whole *batch* of independent relay chains in lockstep: all
-chains' sublink-``k`` flows advance together as element-wise operations
-on ``float64`` arrays.
+steps a whole *batch* of independent relay chains in lockstep.
 
-The vectorized engine is **not** an approximation.  Chains in a batch
-are independent, so stepping them slot-major is a pure reordering of
-the scalar per-chain loops, and every arithmetic operation (window
-growth, loss sawtooth, store accounting, delay lines) is the identical
-IEEE-754 double operation the scalar model performs, applied lane-wise.
+Cells and stores
+----------------
+A relay chain is a pipeline of stores: the source, each depot buffer
+and the sink.  Sublink ``k`` is a *cell* moving bytes from store ``k``
+to store ``k + 1``.  For ``L`` chains whose longest has ``K`` sublinks
+the engine keeps
+
+* every cell's path constants and TCP state in flat arrays over the
+  ``K * L`` cell axis (cell ``k * L + c`` is sublink ``k`` of chain
+  ``c``), with one transit and one ack delay line per cell;
+* every store in flat arrays over ``(K + 1) * L``: row 0 holds the
+  sources, rows ``1 .. n - 1`` a chain's depots and row ``n`` its sink,
+  whose capacity is ``inf``.
+
+Cell ``i`` therefore reads its upstream store at ``i`` and its
+downstream store at ``i + L``, and sources, depots and sinks need no
+case of their own.  One step runs three phases over every live cell at
+once: deliveries, then acknowledgements, then sends (every amount is
+computed from the pre-send state, then all are committed).
+
+Exactness
+---------
+The engine is not an approximation: each chain sees exactly the IEEE-754
+double operations of the scalar model, in the same order.  Chains are
+independent, so only the order within one chain matters, where the
+scalar model runs sublink ``k``'s deliver, ack and send before sublink
+``k + 1``'s.  Cell ``k``'s send reads store ``k``'s occupancy and store
+``k + 1``'s occupancy and reservation; it writes store ``k``'s occupancy
+and store ``k + 1``'s reservation.  Cell ``k + 1``'s deliveries and acks
+touch only store ``k + 2`` and its own window, and its send writes store
+``k + 1``'s occupancy only after cell ``k`` has read it.  So hoisting all
+deliveries and acks ahead of all sends, and computing every send before
+committing any, hands each operation the operands the scalar order
+does; nothing is added or regrouped.
 ``tests/net/test_vectorized_equivalence.py`` pins the two paths to
 *exact* equality — durations, traces, depot peaks, retransmission
 accounting and per-(node, stream) timeline sequences — over seeded
-random topologies and fault plans.  The scalar path remains the
-conformance oracle; this path is the speed.
+random topologies, fault plans and binding depot capacities, and
+``tests/net/test_batch_golden.py`` pins the results themselves.  The
+scalar path remains the conformance oracle; this path is the speed.
 
 Restrictions: the batch engine supports ``loss_mode="deterministic"``
 only (the repeatable sawtooth used by every figure benchmark).  Random
@@ -87,145 +115,124 @@ class BatchSpec:
 
 
 class _Ring:
-    """Per-lane FIFO delay lines as circular ``(lanes, cap)`` arrays.
+    """One FIFO delay line per cell, as circular ``(cells, cap)`` arrays.
 
-    Models the scalar flow's ``_transit``/``_acks`` deques for every
-    lane of one sublink slot at once.  Heads are popped in rounds — the
-    vector analogue of ``while queue and queue[0][0] <= now`` — so each
-    lane's chunk order (and therefore its float accumulation order) is
-    exactly the scalar one.
+    Models the scalar flow's ``_transit``/``_acks`` deques for every cell
+    at once, stored flat: cell ``i``'s column ``j`` sits at
+    ``i * cap + j``.  A cell is empty when its head meets its tail, so
+    the ring grows before any cell could fill it.
     """
 
-    def __init__(self, lanes: int, cap: int) -> None:
+    def __init__(self, cells: int, cap: int) -> None:
         self.cap = max(4, cap)
-        self.t = np.zeros((lanes, self.cap))
-        self.n = np.zeros((lanes, self.cap))
-        self.head = np.zeros(lanes, dtype=np.int64)
-        self.count = np.zeros(lanes, dtype=np.int64)
-        #: cheap upper bound on max(count) so pushes skip the full scan
+        self.t = np.zeros(cells * self.cap)
+        self.n = np.zeros(cells * self.cap)
+        self.head = np.zeros(cells, dtype=np.int64)
+        self.tail = np.zeros(cells, dtype=np.int64)
+        #: cheap upper bound on the longest line so pushes skip the scan
         self._hiwater = 0
 
     def _grow(self) -> None:
-        lanes, cap = self.t.shape
-        new_cap = cap * 2
-        t = np.zeros((lanes, new_cap))
-        n = np.zeros((lanes, new_cap))
-        # re-linearise each lane so head moves to column 0
-        cols = (self.head[:, None] + np.arange(cap)[None, :]) % cap
-        rows = np.arange(lanes)[:, None]
-        t[:, :cap] = self.t[rows, cols]
-        n[:, :cap] = self.n[rows, cols]
-        self.t, self.n, self.cap = t, n, new_cap
+        cells, cap = self.head.size, self.cap
+        # re-linearise each line so its head moves to column 0
+        src = (
+            np.arange(cells)[:, None] * cap
+            + (self.head[:, None] + np.arange(cap)[None, :]) % cap
+        )
+        t = np.zeros((cells, 2 * cap))
+        n = np.zeros((cells, 2 * cap))
+        t[:, :cap] = self.t[src]
+        n[:, :cap] = self.n[src]
+        self.tail = (self.tail - self.head) % cap
         self.head[:] = 0
+        self.t, self.n, self.cap = t.reshape(-1), n.reshape(-1), 2 * cap
 
     def push(self, idx: np.ndarray, times: np.ndarray, amounts: np.ndarray) -> None:
-        if idx.size == 0:
-            return
-        if self._hiwater + 1 > self.cap:
-            self._hiwater = int(self.count.max())
-            if self._hiwater + 1 > self.cap:
+        if self._hiwater + 2 > self.cap:
+            self._hiwater = int(((self.tail - self.head) % self.cap).max())
+            if self._hiwater + 2 > self.cap:
                 self._grow()
-        tail = (self.head[idx] + self.count[idx]) % self.cap
-        self.t[idx, tail] = times
-        self.n[idx, tail] = amounts
-        self.count[idx] += 1
+        tail = self.tail[idx]
+        at = idx * self.cap + tail
+        self.t[at] = times
+        self.n[at] = amounts
+        self.tail[idx] = (tail + 1) % self.cap
         self._hiwater += 1
 
-    def head_times(self, idx: np.ndarray) -> np.ndarray:
-        return self.t[idx, self.head[idx]]
+    def due(self, cells: np.ndarray, now: np.ndarray):
+        """Pop, in rounds, every head of ``cells`` due by ``now[cell]``.
 
-    def head_amounts(self, idx: np.ndarray) -> np.ndarray:
-        return self.n[idx, self.head[idx]]
+        Yields ``(cells, times, amounts)`` per round — the vector analogue
+        of ``while queue and queue[0][0] <= now`` — so each cell's chunk
+        order, and with it its float accumulation order, is the scalar
+        one.  The consumer may push to other rings between rounds.
+        """
+        head, tail, cap = self.head, self.tail, self.cap
+        cand = cells[head[cells] != tail[cells]]
+        while cand.size:
+            h = head[cand]
+            at = cand * cap + h
+            t = self.t[at]
+            due = t <= now[cand]
+            n_due = np.count_nonzero(due)
+            if n_due < due.size:
+                if not n_due:
+                    return
+                cand, h, at, t = cand[due], h[due], at[due], t[due]
+            h = (h + 1) % cap
+            head[cand] = h
+            yield cand, t, self.n[at]
+            cand = cand[h != tail[cand]]
 
-    def pop(self, idx: np.ndarray) -> None:
-        self.head[idx] = (self.head[idx] + 1) % self.cap
-        self.count[idx] -= 1
+    # -- single-cell helpers (inject/drain paths, called rarely) -----------
+    def values(self, i: int) -> list[tuple[float, float]]:
+        h, cap = int(self.head[i]), self.cap
+        return [
+            (float(self.t[i * cap + j % cap]), float(self.n[i * cap + j % cap]))
+            for j in range(h, h + (int(self.tail[i]) - h) % cap)
+        ]
 
-    # -- single-lane helpers (inject/drain paths, called rarely) -----------
-    def lane_values(self, lane: int) -> list[tuple[float, float]]:
-        out = []
-        h, c = int(self.head[lane]), int(self.count[lane])
-        for i in range(c):
-            j = (h + i) % self.cap
-            out.append((float(self.t[lane, j]), float(self.n[lane, j])))
-        return out
+    def pop_head(self, i: int) -> tuple[float, float]:
+        at = i * self.cap + int(self.head[i])
+        self.head[i] = (self.head[i] + 1) % self.cap
+        return float(self.t[at]), float(self.n[at])
 
-    def lane_pop_head(self, lane: int) -> tuple[float, float]:
-        h = int(self.head[lane])
-        value = (float(self.t[lane, h]), float(self.n[lane, h]))
-        self.head[lane] = (h + 1) % self.cap
-        self.count[lane] -= 1
-        return value
+    def head_time(self, i: int) -> float | None:
+        """The head chunk's time, or ``None`` when the line is empty."""
+        if self.head[i] == self.tail[i]:
+            return None
+        return float(self.t[i * self.cap + int(self.head[i])])
 
-    def lane_head_time(self, lane: int) -> float:
-        return float(self.t[lane, int(self.head[lane])])
-
-    def lane_len(self, lane: int) -> int:
-        return int(self.count[lane])
-
-    def clear_lane(self, lane: int) -> None:
-        self.count[lane] = 0
-
-
-class _Slot:
-    """State of sublink position ``k`` across all chains that have it."""
-
-    def __init__(self, lanes: int) -> None:
-        z = lambda: np.zeros(lanes)  # noqa: E731 - terse array factory
-        self.member = np.zeros(lanes, dtype=bool)
-        self.is_last = np.zeros(lanes, dtype=bool)
-        # path constants
-        self.owd, self.rtt, self.bw, self.wlim = z(), z(), z(), z()
-        # tcp constants
-        self.mss, self.mss2 = z(), z()
-        self.init_cwnd = z()
-        self.init_ssthresh = np.full(lanes, math.inf)
-        self.loss_spacing = np.full(lanes, math.inf)
-        # dynamics
-        self.start_time, self.data_start = z(), z()
-        self.sent, self.delivered, self.acked = z(), z(), z()
-        self.retransmitted = z()
-        self.cwnd, self.ssthresh = z(), np.full(lanes, math.inf)
-        self.pkts_since_loss, self.losses = z(), z()
-        self.transit: _Ring | None = None
-        self.acks: _Ring | None = None
-        # batch-shape metadata precomputed once construction is complete:
-        # member lanes, whether they are uniformly last/relay sublinks,
-        # loss-process presence, and the constant per-step wire budget
-        self.member_idx: np.ndarray | None = None
-        self.uniform_last = True
-        self.uniform_relay = True
-        self.any_lossy = False
-        self.all_lossy = False
-        self.all_started = False
-        self.wire: np.ndarray | None = None
+    def clear(self, i: int) -> None:
+        self.head[i] = self.tail[i]
 
 
 class _LaneFlowView:
-    """Read-only flow facade over one (chain, sublink) lane.
+    """Read-only flow facade over one (chain, sublink) cell.
 
     Exposes exactly what :class:`~repro.net.simulator._TimelineEmitter`
     and :meth:`SeqTrace.from_flow` read from a scalar
     :class:`~repro.net.flow.FluidTcpFlow`.
     """
 
-    __slots__ = ("_batch", "_c", "_k", "path")
+    __slots__ = ("_batch", "_c", "_k", "_i", "path")
 
     def __init__(self, batch: "VectorizedBatch", c: int, k: int) -> None:
         self._batch, self._c, self._k = batch, c, k
+        self._i = batch.cell(c, k)
         self.path = batch.chain_paths[c][k]
 
     @property
     def start_time(self) -> float:
-        return float(self._batch.slots[self._k].start_time[self._c])
+        return float(self._batch.start_time[self._i])
 
     @property
     def delivered(self) -> float:
-        return float(self._batch.slots[self._k].delivered[self._c])
+        return float(self._batch.delivered[self._i])
 
     @property
     def acked(self) -> float:
-        return float(self._batch.slots[self._k].acked[self._c])
+        return float(self._batch.acked[self._i])
 
     @property
     def trace_times(self) -> list[float]:
@@ -279,7 +286,6 @@ class VectorizedBatch:
     ) -> None:
         if len(dts) != len(specs):
             raise ValueError("one dt per spec required")
-        self.specs = list(specs)
         if record is None:
             record = [record_trace] * len(specs)
         if len(record) != len(specs):
@@ -290,28 +296,52 @@ class VectorizedBatch:
         lanes = len(specs)
         self.lanes = lanes
         self.chain_paths: list[tuple[PathSpec, ...]] = [s.paths for s in specs]
-        self.n_sublinks = np.array([len(s.paths) for s in specs])
+        self.n_sublinks = np.array([len(s.paths) for s in specs], dtype=np.int64)
         max_k = int(self.n_sublinks.max()) if lanes else 0
-        max_d = max(max_k - 1, 0)
 
         self.sizes = np.array([float(s.size) for s in specs])
-        self.remaining = self.sizes.copy()
-        self.received = np.zeros(lanes)
-        self.now = np.zeros(lanes)
-        self.prev_now = np.zeros(lanes)
         self.dt = np.array([float(d) for d in dts])
-        self.steps = np.zeros(lanes, dtype=np.int64)
+        self.prev_now = np.zeros(lanes)
+        self.steps = 0
         self.alive = np.ones(lanes, dtype=bool)
-        self.aborted = np.zeros(lanes, dtype=bool)
         self.durations = np.zeros(lanes)
 
-        # depot pools
-        self.depot_capacity = np.zeros((lanes, max_d))
-        self.depot_occ = np.zeros((lanes, max_d))
-        self.depot_res = np.zeros((lanes, max_d))
-        self.depot_peak = np.zeros((lanes, max_d))
+        cells = max_k * lanes
+        z = lambda: np.zeros(cells)  # noqa: E731 - terse array factory
+        # cell constants: path, TCP, and the per-step wire budget
+        self.owd, self.rtt, self.wlim, self.wire = z(), z(), z(), z()
+        self.mss, self.mss2, self.init_cwnd = z(), z(), z()
+        self.init_ssthresh = np.full(cells, math.inf)
+        self.loss_spacing = np.full(cells, math.inf)
+        # cell dynamics
+        self.start_time, self.data_start = z(), z()
+        self.sent, self.delivered, self.acked = z(), z(), z()
+        self.retransmitted = z()
+        self.cwnd, self.ssthresh = z(), np.full(cells, math.inf)
+        self.pkts_since_loss, self.losses = z(), z()
+        #: the lane clocks, repeated on every sublink row
+        self.clock = z()
+        self.now = self.clock[:lanes]
+        self._tick = np.tile(self.dt, max_k)
 
-        self.slots: list[_Slot] = [_Slot(lanes) for _ in range(max_k)]
+        # stores: sources, then depots, each chain's sink at row n
+        stores = (max_k + 1) * lanes
+        self.store_cap = np.zeros(stores)
+        self.store_occ = np.zeros(stores)
+        self.store_res = np.zeros(stores)
+        self.store_peak = np.zeros(stores)
+        self._sink = self.n_sublinks * lanes + np.arange(lanes)
+        self.store_occ[:lanes] = self.sizes
+        self.store_cap[self._sink] = math.inf
+        #: the completion level of each sink (half-byte tolerance); inf
+        #: elsewhere, so only sinks ever complete
+        self._done_at = np.full(stores, math.inf)
+        self._done_at[self._sink] = self.sizes - 0.5
+        #: (lane, depot) view of the depot capacities
+        self.depot_capacity = self.store_cap.reshape(max_k + 1, lanes)[
+            1:max_k
+        ].T
+
         self.trace_t: list[list[list[float]]] = [
             [[] for _ in s.paths] for s in specs
         ]
@@ -334,10 +364,9 @@ class VectorizedBatch:
                 )
             for d, cap in enumerate(caps):
                 check_positive("capacity", cap)
-                self.depot_capacity[c, d] = float(cap)
+                self.store_cap[(d + 1) * lanes + c] = float(cap)
             start = 0.0
             for k, path in enumerate(spec.paths):
-                slot = self.slots[k]
                 cfg = spec.configs[k] if spec.configs is not None else config
                 if cfg.loss_mode != "deterministic":
                     raise ValueError(
@@ -345,42 +374,40 @@ class VectorizedBatch:
                         "loss_mode='deterministic' only; random loss "
                         "stays on the scalar path"
                     )
-                slot.member[c] = True
-                slot.is_last[c] = k == len(spec.paths) - 1
-                slot.owd[c] = path.one_way_delay
-                slot.rtt[c] = path.rtt
-                slot.bw[c] = path.bandwidth
-                slot.wlim[c] = path.window_limit
-                slot.mss[c] = cfg.mss
-                slot.mss2[c] = 2.0 * cfg.mss
-                slot.init_cwnd[c] = float(cfg.mss * cfg.initial_cwnd_segments)
-                slot.init_ssthresh[c] = (
-                    float(cfg.initial_ssthresh)
-                    if cfg.initial_ssthresh is not None
-                    else math.inf
-                )
-                slot.loss_spacing[c] = (
-                    math.inf if path.loss_rate == 0.0 else 1.0 / path.loss_rate
-                )
-                slot.start_time[c] = start
-                slot.data_start[c] = start + path.rtt
-                slot.cwnd[c] = slot.init_cwnd[c]
-                slot.ssthresh[c] = slot.init_ssthresh[c]
+                i = k * lanes + c
+                self.owd[i] = path.one_way_delay
+                self.rtt[i] = path.rtt
+                self.wlim[i] = path.window_limit
+                self.wire[i] = path.bandwidth * self.dt[c]
+                self.mss[i] = cfg.mss
+                self.mss2[i] = 2.0 * cfg.mss
+                self.init_cwnd[i] = float(cfg.mss * cfg.initial_cwnd_segments)
+                if cfg.initial_ssthresh is not None:
+                    self.init_ssthresh[i] = float(cfg.initial_ssthresh)
+                if path.loss_rate != 0.0:
+                    self.loss_spacing[i] = 1.0 / path.loss_rate
+                self.start_time[i] = start
+                self.data_start[i] = start + path.rtt
+                self.cwnd[i] = self.init_cwnd[i]
+                self.ssthresh[i] = self.init_ssthresh[i]
                 if k < len(spec.paths) - 1:
                     start += path.rtt + path.one_way_delay
 
-        # delay-line capacity: one chunk per step, alive for one-way-delay
-        for k, slot in enumerate(self.slots):
-            members = np.flatnonzero(slot.member)
-            if members.size:
-                depth = np.ceil(
-                    slot.owd[members] / self.dt[members]
-                ).astype(int)
-                cap = int(depth.max()) + 4
-            else:
-                cap = 4
-            slot.transit = _Ring(lanes, cap)
-            slot.acks = _Ring(lanes, cap)
+        #: member cells of the live chains, k-major (the stepping set)
+        self.cells = np.flatnonzero(
+            (np.arange(max_k)[:, None] < self.n_sublinks[None, :]).ravel()
+        )
+        self._record_cell = np.tile(self.record, max_k)
+        # delay lines: one chunk per step, alive for one one-way delay
+        depth = 0
+        if self.cells.size:
+            depth = int(
+                np.ceil(self.owd[self.cells] / self._tick[self.cells]).max()
+            )
+        self.transit = _Ring(cells, depth + 8)
+        self.acks = _Ring(cells, depth + 8)
+        #: every live cell is past its handshake (faults reset this)
+        self._all_started = False
 
         # fault bookkeeping (scalar run_relay_with_faults mirror)
         self.fault_remaining: dict[int, list[int]] = {}
@@ -392,234 +419,126 @@ class VectorizedBatch:
                 self.fault_retries_per_sublink[c] = {}
                 self.fault_retries[c] = 0
 
-        self._has_faults = bool(self.fault_remaining)
-        for slot in self.slots:
-            m = np.flatnonzero(slot.member)
-            slot.member_idx = m
-            last = slot.is_last[m]
-            slot.uniform_last = bool(last.all()) if m.size else True
-            slot.uniform_relay = bool((~last).all()) if m.size else False
-            lossy = np.isfinite(slot.loss_spacing[m])
-            slot.any_lossy = bool(lossy.any()) if m.size else False
-            slot.all_lossy = bool(lossy.all()) if m.size else False
-            slot.wire = slot.bw * self.dt
-
-        #: emitters attached per chain (index -> _TimelineEmitter)
-        self.emitters: dict[int, object] = {}
-
     # -- per-chain views ---------------------------------------------------
     def pipeline_view(self, c: int) -> _LanePipelineView:
         """The flow/pipeline facade the timeline emitter observes."""
         return _LanePipelineView(self, c)
 
+    def cell(self, c: int, k: int) -> int:
+        """Flat index of sublink ``k`` of chain ``c`` on the cell axis."""
+        return k * self.lanes + c
+
+    def received(self, c: int) -> float:
+        """Bytes chain ``c``'s sink holds."""
+        return float(self.store_occ[self._sink[c]])
+
     # -- stepping ----------------------------------------------------------
-    def _step_slot(self, k: int, alive_all: bool) -> None:
-        slot = self.slots[k]
-        if alive_all:
-            mi = slot.member_idx
-        else:
-            mi = slot.member_idx[self.alive[slot.member_idx]]
-        if mi.size == 0:
-            return
-        now = self.now
-        transit, acks = slot.transit, slot.acks
-        # 1. deliveries reaching the receiver (ACK clocking: before sends)
-        t_t, t_n = transit.t, transit.n
-        t_head, t_count = transit.head, transit.count
-        cand = mi[t_count[mi] > 0]
-        while cand.size:
-            h = t_head[cand]
-            ht = t_t[cand, h]
-            due = ht <= now[cand]
-            didx = cand[due]
-            if didx.size == 0:
-                break
-            if didx.size == cand.size:
-                hd, htd = h, ht
-            else:
-                hd, htd = h[due], ht[due]
-            n = t_n[didx, hd]
-            slot.delivered[didx] += n
-            if slot.uniform_last:
-                self.received[didx] += n
-            elif slot.uniform_relay:
-                self.depot_res[didx, k] = np.maximum(
-                    0.0, self.depot_res[didx, k] - n
-                )
-                self.depot_occ[didx, k] += n
-                self.depot_peak[didx, k] = np.maximum(
-                    self.depot_peak[didx, k], self.depot_occ[didx, k]
-                )
-            else:
-                last = slot.is_last[didx]
-                sink_idx = didx[last]
-                self.received[sink_idx] += n[last]
-                dep_idx = didx[~last]
-                if dep_idx.size:
-                    nd = n[~last]
-                    self.depot_res[dep_idx, k] = np.maximum(
-                        0.0, self.depot_res[dep_idx, k] - nd
-                    )
-                    self.depot_occ[dep_idx, k] += nd
-                    self.depot_peak[dep_idx, k] = np.maximum(
-                        self.depot_peak[dep_idx, k],
-                        self.depot_occ[dep_idx, k],
-                    )
-            acks.push(didx, htd + slot.owd[didx], n)
-            t_head[didx] = (hd + 1) % transit.cap
-            t_count[didx] -= 1
-            cand = didx[t_count[didx] > 0]
-        # 2. acknowledgements reaching the sender (captured after the
-        # transit pushes above, which may have grown the ring arrays)
-        a_t, a_n = acks.t, acks.n
-        a_head, a_count = acks.head, acks.count
-        cand = mi[a_count[mi] > 0]
-        while cand.size:
-            h = a_head[cand]
-            at = a_t[cand, h]
-            due = at <= now[cand]
-            aidx = cand[due]
-            if aidx.size == 0:
-                break
-            hd = h if aidx.size == cand.size else h[due]
-            n = a_n[aidx, hd]
-            slot.acked[aidx] += n
-            # on_ack: slow start doubles, congestion avoidance is linear
-            ss = slot.cwnd[aidx] < slot.ssthresh[aidx]
-            if ss.all():
-                slot.cwnd[aidx] += n
-                over = slot.cwnd[aidx] >= slot.ssthresh[aidx]
-                clamp = aidx[over]
-                if clamp.size:
-                    slot.cwnd[clamp] = slot.ssthresh[clamp]
-            else:
-                ss_idx = aidx[ss]
-                if ss_idx.size:
-                    slot.cwnd[ss_idx] += n[ss]
-                    over = slot.cwnd[ss_idx] >= slot.ssthresh[ss_idx]
-                    clamp = ss_idx[over]
-                    slot.cwnd[clamp] = slot.ssthresh[clamp]
-                ca_idx = aidx[~ss]
-                if ca_idx.size:
-                    slot.cwnd[ca_idx] += (
-                        slot.mss[ca_idx] * n[~ss] / slot.cwnd[ca_idx]
-                    )
-            a_head[aidx] = (hd + 1) % acks.cap
-            a_count[aidx] -= 1
-            cand = aidx[a_count[aidx] > 0]
-        # 3. desired send
-        if slot.all_started:
-            si = mi
-        else:
-            started = now[mi] >= slot.data_start[mi]
-            if started.all():
-                si = mi
-                if not self._has_faults:
-                    # faults reset data_start; without them this latches
-                    slot.all_started = True
-            else:
-                si = mi[started]
-        if si.size:
-            window = np.minimum(slot.cwnd[si], slot.wlim[si])
-            in_flight = slot.sent[si] - slot.acked[si]
-            can_window = np.maximum(0.0, window - in_flight)
-            avail = (
-                self.remaining[si] if k == 0 else self.depot_occ[si, k - 1]
-            )
-            amount = np.minimum(
-                np.minimum(avail, can_window), slot.wire[si]
-            )
-            if not slot.uniform_last:
-                # a chain with a non-last slot k has >= k + 2 sublinks,
-                # so depot column k exists whenever this branch is taken
-                free = np.maximum(
-                    0.0,
-                    self.depot_capacity[si, k]
-                    - self.depot_occ[si, k]
-                    - self.depot_res[si, k],
-                )
-                if not slot.uniform_relay:
-                    free = np.where(slot.is_last[si], math.inf, free)
-                amount = np.minimum(amount, free)
-            # 4. commit
-            pos = amount > 0.0
-            if pos.all():
-                pi, amt = si, amount
-            else:
-                pi, amt = si[pos], amount[pos]
-            if pi.size:
-                if k == 0:
-                    self.remaining[pi] = np.maximum(
-                        0.0, self.remaining[pi] - amt
-                    )
-                else:
-                    self.depot_occ[pi, k - 1] = np.maximum(
-                        0.0, self.depot_occ[pi, k - 1] - amt
-                    )
-                if slot.uniform_relay:
-                    self.depot_res[pi, k] += amt
-                elif not slot.uniform_last:
-                    dl = ~slot.is_last[pi]
-                    dpi = pi[dl]
-                    if dpi.size:
-                        self.depot_res[dpi, k] += amt[dl]
-                slot.sent[pi] += amt
-                transit.push(pi, now[pi] + slot.owd[pi], amt)
-                # on_send: deterministic sawtooth (at most one event/send)
-                if slot.any_lossy:
-                    if slot.all_lossy:
-                        li, amt_l = pi, amt
-                    else:
-                        lossy = np.isfinite(slot.loss_spacing[pi])
-                        li, amt_l = pi[lossy], amt[lossy]
-                    if li.size:
-                        slot.pkts_since_loss[li] += amt_l / slot.mss[li]
-                        fire = (
-                            slot.pkts_since_loss[li]
-                            >= slot.loss_spacing[li]
-                        )
-                        fi = li[fire]
-                        if fi.size:
-                            slot.pkts_since_loss[fi] -= (
-                                slot.loss_spacing[fi]
-                            )
-                            slot.ssthresh[fi] = np.maximum(
-                                slot.cwnd[fi] / 2.0, slot.mss2[fi]
-                            )
-                            slot.cwnd[fi] = slot.ssthresh[fi]
-                            slot.losses[fi] += 1.0
-        # 5. traces (conformance runs only)
-        if self.any_record:
-            for c in mi:
-                ci = int(c)
-                if self.record[ci]:
-                    self.trace_t[ci][k].append(float(now[ci]))
-                    self.trace_a[ci][k].append(float(slot.acked[ci]))
+    def step_all(self) -> list[int]:
+        """Advance every live cell by one step; return lanes to check.
 
-    def step_all(self) -> None:
-        """Advance every live chain by one step (all slots, in order).
-
-        Dead lanes' clocks advance too (their state is never read again);
-        restricting the update to live lanes costs more than it saves.
+        The returned lanes (ascending) are those whose sink reached its
+        completion level during this step — the only lanes that can
+        have completed.  Dead lanes' clocks advance too (their state is
+        never read again); restricting the update costs more than it
+        saves.
         """
         np.copyto(self.prev_now, self.now)
-        self.now += self.dt
+        self.clock += self._tick
         self.steps += 1
-        alive = self.alive
-        alive_all = bool(alive.all())
-        if alive_all:
-            over = self.now > self.max_time
-        else:
-            over = alive & (self.now > self.max_time)
-        if over.any():
-            c = int(np.flatnonzero(over)[0])
-            raise RuntimeError(
-                f"transfer of {int(self.sizes[c])} bytes (batch lane {c}) "
-                f"did not complete within {self.max_time}s simulated "
-                f"({self.received[c]:.0f} delivered)"
+        if np.maximum.reduce(self.now) > self.max_time:
+            over = np.flatnonzero(self.alive & (self.now > self.max_time))
+            if over.size:
+                c = int(over[0])
+                raise RuntimeError(
+                    f"transfer of {int(self.sizes[c])} bytes (batch lane "
+                    f"{c}) did not complete within {self.max_time}s "
+                    f"simulated ({self.received(c):.0f} delivered)"
+                )
+        cells, lanes, now = self.cells, self.lanes, self.clock
+        occ, res = self.store_occ, self.store_res
+        cwnd, ssthresh = self.cwnd, self.ssthresh
+        reached = []
+        # 1. deliveries into each cell's downstream store (ACK clocking:
+        # before sends)
+        for idx, t, n in self.transit.due(cells, now):
+            self.delivered[idx] += n
+            down = idx + lanes
+            res[down] = np.maximum(0.0, res[down] - n)
+            level = occ[down] + n
+            occ[down] = level
+            self.store_peak[down] = np.maximum(self.store_peak[down], level)
+            done = level >= self._done_at[down]
+            if np.count_nonzero(done):
+                reached.extend((idx[done] % lanes).tolist())
+            self.acks.push(idx, t + self.owd[idx], n)
+        # 2. acknowledgements: slow start grows by the acked bytes up to
+        # ssthresh, congestion avoidance by one MSS per window
+        for idx, _, n in self.acks.due(cells, now):
+            self.acked[idx] += n
+            cw, st = cwnd[idx], ssthresh[idx]
+            cwnd[idx] = np.where(
+                cw < st, np.minimum(cw + n, st), cw + self.mss[idx] * n / cw
             )
-        for k in range(len(self.slots)):
-            self._step_slot(k, alive_all)
+        # 3. sends, every amount from the pre-send stores
+        si = cells
+        if not self._all_started:
+            started = now[cells] >= self.data_start[cells]
+            if np.count_nonzero(started) == started.size:
+                # faults reset data_start; until one does this latches
+                self._all_started = True
+            else:
+                si = cells[started]
+        if si.size:
+            down = si + lanes
+            window = np.minimum(cwnd[si], self.wlim[si])
+            can_window = np.maximum(
+                0.0, window - (self.sent[si] - self.acked[si])
+            )
+            free = np.maximum(
+                0.0, self.store_cap[down] - occ[down] - res[down]
+            )
+            avail = occ[si]
+            amount = np.minimum(
+                np.minimum(np.minimum(avail, can_window), self.wire[si]), free
+            )
+            # 4. commit
+            pos = amount > 0.0
+            if np.count_nonzero(pos) < pos.size:
+                si, down = si[pos], down[pos]
+                avail, amount = avail[pos], amount[pos]
+            if si.size:
+                occ[si] = np.maximum(0.0, avail - amount)
+                res[down] += amount
+                self.sent[si] += amount
+                self.transit.push(si, now[si] + self.owd[si], amount)
+                # deterministic sawtooth: at most one loss event per send
+                # (lossless cells count packets against an inf spacing)
+                pkts = self.pkts_since_loss[si] + amount / self.mss[si]
+                fire = pkts >= self.loss_spacing[si]
+                if np.count_nonzero(fire):
+                    fi = si[fire]
+                    pkts[fire] -= self.loss_spacing[fi]
+                    ssthresh[fi] = np.maximum(cwnd[fi] / 2.0, self.mss2[fi])
+                    cwnd[fi] = ssthresh[fi]
+                    self.losses[fi] += 1.0
+                self.pkts_since_loss[si] = pkts
+        # 5. traces (conformance runs only)
+        if self.any_record:
+            for i in cells[self._record_cell[cells]].tolist():
+                k, c = divmod(i, lanes)
+                self.trace_t[c][k].append(float(now[i]))
+                self.trace_a[c][k].append(float(self.acked[i]))
+        return sorted(set(reached))
+
+    def complete(self, c: int) -> bool:
+        """Chain ``c`` is live and its last byte reached the sink."""
+        sink = self._sink[c]
+        return bool(self.alive[c]) and self.store_occ[sink] >= self._done_at[sink]
+
+    def retire(self, c: int) -> None:
+        """Stop stepping chain ``c`` (completed or abandoned)."""
+        self.alive[c] = False
+        self.cells = self.cells[self.cells % self.lanes != c]
 
     # -- failure injection (scalar FluidTcpFlow.inject_failure mirror) -----
     def inject_failure(
@@ -632,58 +551,51 @@ class VectorizedBatch:
         delivered (resume) or zero (restart) point, and congestion
         state is reset as if the TCP connection were replaced.
         """
-        slot = self.slots[k]
+        up = i = self.cell(c, k)
+        down = i + self.lanes
+        occ = self.store_occ
         in_flight_data = 0.0
-        for _, n in slot.transit.lane_values(c):
+        for _, n in self.transit.values(i):
             in_flight_data = in_flight_data + n
-        if not slot.is_last[c]:
-            self.depot_res[c, k] = max(0.0, self.depot_res[c, k] - in_flight_data)
-        slot.transit.clear_lane(c)
-        slot.acks.clear_lane(c)
+        self.store_res[down] = max(0.0, self.store_res[down] - in_flight_data)
+        self.transit.clear(i)
+        self.acks.clear(i)
         if resume:
-            lost = float(slot.sent[c] - slot.delivered[c])
+            lost = float(self.sent[i] - self.delivered[i])
             if k == 0:
-                self.remaining[c] = min(
-                    float(self.sizes[c]), self.remaining[c] + lost
-                )
+                occ[up] = min(float(self.sizes[c]), occ[up] + lost)
             else:
-                self.depot_occ[c, k - 1] += lost
-                self.depot_peak[c, k - 1] = max(
-                    self.depot_peak[c, k - 1], self.depot_occ[c, k - 1]
-                )
-            slot.sent[c] = slot.delivered[c]
-            slot.acked[c] = slot.delivered[c]
+                occ[up] += lost
+                self.store_peak[up] = max(self.store_peak[up], occ[up])
+            self.sent[i] = self.delivered[i]
+            self.acked[i] = self.delivered[i]
             retransmit = lost
         else:
-            retransmit = float(slot.sent[c])
-            self.received[c] = max(0.0, self.received[c] - slot.delivered[c])
-            self.remaining[c] = min(
-                float(self.sizes[c]), self.remaining[c] + slot.sent[c]
-            )
-            slot.sent[c] = slot.delivered[c] = slot.acked[c] = 0.0
+            retransmit = float(self.sent[i])
+            occ[down] = max(0.0, occ[down] - self.delivered[i])
+            occ[up] = min(float(self.sizes[c]), occ[up] + self.sent[i])
+            self.sent[i] = self.delivered[i] = self.acked[i] = 0.0
         # fresh congestion state, exactly like replacing the TcpState
-        slot.cwnd[c] = slot.init_cwnd[c]
-        slot.ssthresh[c] = slot.init_ssthresh[c]
-        slot.pkts_since_loss[c] = 0.0
-        slot.losses[c] = 0.0
-        slot.start_time[c] = now + restart_delay
-        slot.data_start[c] = slot.start_time[c] + slot.rtt[c]
-        slot.retransmitted[c] += retransmit
+        self.cwnd[i] = self.init_cwnd[i]
+        self.ssthresh[i] = self.init_ssthresh[i]
+        self.pkts_since_loss[i] = 0.0
+        self.losses[i] = 0.0
+        self.start_time[i] = now + restart_delay
+        self.data_start[i] = self.start_time[i] + self.rtt[i]
+        self.retransmitted[i] += retransmit
+        self._all_started = False
         return retransmit
 
     # -- completion --------------------------------------------------------
-    def complete_mask(self) -> np.ndarray:
-        """Chains whose last byte reached the sink (half-byte tolerance)."""
-        return self.alive & (self.received >= self.sizes - 0.5)
-
     def refine_completion_time(self, c: int) -> float:
         """Scalar ``RelayPipeline._refine_completion_time`` per lane."""
         now = float(self.now[c])
-        if self.record[c] and int(self.steps[c]) >= 2:
-            t1, t0 = float(self.now[c]), float(self.prev_now[c])
-            excess = self.received[c] - self.sizes[c]
-            if excess > 0 and t1 > t0:
-                rate = self.received[c] / max(now, float(self.dt[c]))
+        if self.record[c] and self.steps >= 2:
+            t0 = float(self.prev_now[c])
+            received = self.store_occ[self._sink[c]]
+            excess = received - self.sizes[c]
+            if excess > 0 and now > t0:
+                rate = received / max(now, float(self.dt[c]))
                 if rate > 0:
                     return float(max(t0, now - excess / rate))
         return now
@@ -691,40 +603,39 @@ class VectorizedBatch:
     def drain_chain(self, c: int) -> None:
         """Flush trailing data/acks for chain ``c`` (per-flow ``drain``)."""
         now = float(self.now[c])
+        occ, transit, acks = self.store_occ, self.transit, self.acks
         for k in range(int(self.n_sublinks[c])):
-            slot = self.slots[k]
-            until = now + float(slot.rtt[c])
-            transit, acks = slot.transit, slot.acks
-            while transit.lane_len(c) and transit.lane_head_time(c) <= until:
-                arrival, n = transit.lane_pop_head(c)
-                slot.delivered[c] += n
-                if slot.is_last[c]:
-                    self.received[c] += n
-                else:
-                    self.depot_res[c, k] = max(0.0, self.depot_res[c, k] - n)
-                    self.depot_occ[c, k] += n
-                    self.depot_peak[c, k] = max(
-                        self.depot_peak[c, k], self.depot_occ[c, k]
-                    )
+            i = self.cell(c, k)
+            down = i + self.lanes
+            until = now + float(self.rtt[i])
+            while (head := transit.head_time(i)) is not None and head <= until:
+                arrival, n = transit.pop_head(i)
+                self.delivered[i] += n
+                self.store_res[down] = max(0.0, self.store_res[down] - n)
+                occ[down] += n
+                self.store_peak[down] = max(self.store_peak[down], occ[down])
                 acks.push(
-                    np.array([c]),
-                    np.array([arrival + float(slot.owd[c])]),
+                    np.array([i]),
+                    np.array([arrival + float(self.owd[i])]),
                     np.array([n]),
                 )
-            while acks.lane_len(c) and acks.lane_head_time(c) <= until:
-                _, n = acks.lane_pop_head(c)
-                slot.acked[c] += n
-                if slot.cwnd[c] < slot.ssthresh[c]:
-                    slot.cwnd[c] += n
-                    if slot.cwnd[c] >= slot.ssthresh[c]:
-                        slot.cwnd[c] = slot.ssthresh[c]
+            while (head := acks.head_time(i)) is not None and head <= until:
+                _, n = acks.pop_head(i)
+                self.acked[i] += n
+                if self.cwnd[i] < self.ssthresh[i]:
+                    self.cwnd[i] += n
+                    if self.cwnd[i] >= self.ssthresh[i]:
+                        self.cwnd[i] = self.ssthresh[i]
                 else:
-                    slot.cwnd[c] += slot.mss[c] * n / slot.cwnd[c]
+                    self.cwnd[i] += self.mss[i] * n / self.cwnd[i]
             if self.record[c]:
                 self.trace_t[c][k].append(until)
-                self.trace_a[c][k].append(float(slot.acked[c]))
+                self.trace_a[c][k].append(float(self.acked[i]))
 
     # -- results -----------------------------------------------------------
+    def _cells_of(self, c: int) -> range:
+        return range(c, int(self.n_sublinks[c]) * self.lanes, self.lanes)
+
     def traces(self, c: int) -> list[SeqTrace]:
         """Per-sublink ack sequence traces for chain ``c``."""
         return [
@@ -738,26 +649,15 @@ class VectorizedBatch:
 
     def total_loss_events(self, c: int) -> int:
         """Loss events summed over chain ``c``'s sublinks."""
-        return int(
-            sum(
-                self.slots[k].losses[c]
-                for k in range(int(self.n_sublinks[c]))
-            )
-        )
+        return int(sum(self.losses[i] for i in self._cells_of(c)))
 
     def depot_peaks(self, c: int) -> list[float]:
         """Peak depot occupancy per intermediate hop of chain ``c``."""
-        return [
-            float(self.depot_peak[c, d])
-            for d in range(int(self.n_sublinks[c]) - 1)
-        ]
+        return [float(self.store_peak[i]) for i in self._cells_of(c)][1:]
 
     def per_sublink_retransmitted(self, c: int) -> list[float]:
         """Bytes each sublink of chain ``c`` sent more than once."""
-        return [
-            float(self.slots[k].retransmitted[c])
-            for k in range(int(self.n_sublinks[c]))
-        ]
+        return [float(self.retransmitted[i]) for i in self._cells_of(c)]
 
     def max_rtt(self, c: int) -> float:
         """Largest sublink RTT of chain ``c`` (drain horizon)."""

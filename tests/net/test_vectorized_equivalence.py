@@ -338,3 +338,123 @@ class TestBatchContract:
         for ta, tb in zip(batch[1].traces, solo_relay.traces):
             assert np.array_equal(ta.times, tb.times)
             assert np.array_equal(ta.acked, tb.acked)
+
+
+BINDING_CAPS = [16 << 10, 32 << 10, 64 << 10, 128 << 10]
+
+
+def binding_specs(rng: random.Random, chains: int = 9) -> list[BatchSpec]:
+    """Mixed 1/2/3-sublink chains whose depot capacities bind.
+
+    Chain ``j``'s sublink ``k`` is lossy exactly when ``j + k`` is even,
+    so every sublink position carries both lossy and lossless cells.
+    Capacities of 16-128 KiB sit far below the 256 KiB-1 MiB sizes, so
+    a depot fills whenever its upstream outruns its downstream.
+    """
+    specs = []
+    for j in range(chains):
+        n = (1, 2, 3)[j % 3]
+        paths = tuple(
+            PathSpec(
+                rtt=rng.choice(RTTS),
+                bandwidth=rng.choice(BANDWIDTHS),
+                loss_rate=(
+                    rng.choice(LOSS_RATES[1:]) if (j + k) % 2 == 0 else 0.0
+                ),
+            )
+            for k in range(n)
+        )
+        faults: tuple = ()
+        retry = None
+        if rng.random() < 0.3:
+            faults = (SublinkFault(rng.randrange(n), 64 << 10),)
+            retry = RetryPolicy(jitter=0.25, seed=rng.randrange(1000))
+        specs.append(
+            BatchSpec(
+                paths=paths,
+                size=rng.choice(SIZES),
+                faults=faults,
+                retry=retry,
+                depot_capacities=tuple(
+                    rng.choice(BINDING_CAPS) for _ in range(n - 1)
+                ),
+            )
+        )
+    return specs
+
+
+class TestBindingDepotCapacity:
+    """Full depots: the free-space path and cross-sublink read order.
+
+    A depot's free space is read by its incoming sublink's send while
+    its outgoing sublink's send takes from it, so these cases pin the
+    order in which one step reads and writes neighbouring stores.
+    """
+
+    @pytest.mark.parametrize("trial", range(4))
+    def test_results_and_traces_identical(self, trial):
+        rng = random.Random(4700 + trial)
+        specs = binding_specs(rng)
+        vec, scal, _, _, _ = run_both(specs, seed=trial)
+        for a, b in zip(vec, scal):
+            assert_result_identical(a, b)
+        filled = [
+            peak >= cap
+            for spec, result in zip(specs, vec)
+            for peak, cap in zip(result.depot_peaks, spec.depot_capacities)
+        ]
+        assert any(filled)  # the trial really filled a depot
+
+    def test_timeline_sequences_identical(self):
+        rng = random.Random(4800)
+        specs = binding_specs(rng, chains=6)
+        vec, scal, tl_v, tl_s, sessions = run_both(
+            specs, seed=1, with_timeline=True
+        )
+        for a, b in zip(vec, scal):
+            assert_result_identical(a, b)
+        for session in sessions:
+            ev_v = [
+                (e.event, e.node, e.stream, e.t, e.nbytes, e.detail)
+                for e in tl_v.events(session)
+            ]
+            ev_s = [
+                (e.event, e.node, e.stream, e.t, e.nbytes, e.detail)
+                for e in tl_s.events(session)
+            ]
+            assert ev_v == ev_s
+
+
+def test_delay_ring_matches_per_cell_deques():
+    """The flat ring keeps per-cell FIFO order across wrap-around and growth."""
+    from collections import deque
+
+    from repro.net.vectorized import _Ring
+
+    rng = random.Random(4900)
+    cells = 5
+    ring = _Ring(cells, 4)
+    queues = [deque() for _ in range(cells)]
+    clock = 0.0
+    for _ in range(400):
+        clock += 1.0
+        idx = np.array(
+            sorted(rng.sample(range(cells), rng.randint(1, cells)))
+        )
+        times = clock + np.array([rng.randint(0, 12) for _ in idx], float)
+        amounts = np.array([rng.random() for _ in idx])
+        ring.push(idx, times, amounts)
+        for i, t, n in zip(idx.tolist(), times, amounts):
+            queues[i].append((float(t), float(n)))
+        due_at = np.full(cells, clock + rng.randint(-3, 3))
+        popped = [[] for _ in range(cells)]
+        for got, t, n in ring.due(np.arange(cells), due_at):
+            for i, ti, ni in zip(got.tolist(), t, n):
+                popped[i].append((float(ti), float(ni)))
+        for i in range(cells):
+            expect = []
+            while queues[i] and queues[i][0][0] <= due_at[i]:
+                expect.append(queues[i].popleft())
+            assert popped[i] == expect
+            assert ring.values(i) == list(queues[i])
+    assert ring.cap > 4  # the ring grew on the way
