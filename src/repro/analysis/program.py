@@ -113,7 +113,6 @@ class FunctionInfo:
     class_name: str | None
     module_path: str  #: the module's display path (finding-compatible)
     lineno: int
-    is_async: bool
 
 
 @dataclass(frozen=True)
@@ -403,7 +402,6 @@ def _function_index(
                     class_name=None,
                     module_path=module.path,
                     lineno=node.lineno,
-                    is_async=isinstance(node, ast.AsyncFunctionDef),
                 ),
                 node,
             )
@@ -417,7 +415,6 @@ def _function_index(
                     class_name=class_name,
                     module_path=module.path,
                     lineno=method.lineno,
-                    is_async=isinstance(method, ast.AsyncFunctionDef),
                 ),
                 method,
             )

@@ -6,7 +6,6 @@ decorator at import time.
 """
 
 from repro.analysis.rules import (  # noqa: F401  (imported for side effect)
-    blocking,
     deadlock,
     determinism,
     locks,

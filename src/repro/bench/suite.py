@@ -1,8 +1,8 @@
 """The fixed benchmark suite behind ``repro bench``.
 
 The workloads cover the subsystems whose performance the project
-promises (ROADMAP item 3): minimax tree construction, incremental
-reroute repair, the fluid simulator's batch step rate (scalar and
+promises (ROADMAP item 3): minimax tree construction, rerouting
+around failed depots, the fluid simulator's batch step rate (scalar and
 vectorized), loopback socket-relay throughput, chaos episode
 wall-clock, multicast staging with striped sublinks (including the
 striped-vs-single crossover the relay model predicts), and the
@@ -27,7 +27,13 @@ from repro.util.rng import RngStream
 
 
 def _bench_minimax(smoke: bool) -> list[BenchResult]:
-    """Tree build + reroute latency on a dense random mesh."""
+    """Tree build + reroute latency on a dense random mesh.
+
+    A reroute is one MMP build over the surviving relay set, so its
+    latency is gated against a fresh :meth:`LogisticalScheduler.tree`
+    build of the same source: ``reroute.rebuild_vs_build`` stays near 1
+    and drops if a reroute starts doing more than one build's work.
+    """
     from repro.core.scheduler import LogisticalScheduler
     from repro.nws.matrix import PerformanceMatrix
 
@@ -46,26 +52,24 @@ def _bench_minimax(smoke: bool) -> list[BenchResult]:
     t0 = time.perf_counter()
     sched.tree(hosts[0])
     build_s = time.perf_counter() - t0
-    sched._dense_cost()  # warm the matrix cache, as a sweep would
 
     src, dst = hosts[0], hosts[-1]
     candidates = [h for h in hosts if h not in (src, dst)]
-    inc: list[float] = []
-    full: list[float] = []
+    builds: list[float] = []
+    reroute_s: list[float] = []
     for _ in range(reroutes):
+        sched._trees.pop(src)  # a fresh build, on the cached matrix
+        t0 = time.perf_counter()
+        sched.tree(src)
+        builds.append(time.perf_counter() - t0)
         k = int(rng.integers(1, 4))
         avoid = {str(h) for h in rng.choice(candidates, size=k, replace=False)}
         t0 = time.perf_counter()
         sched.reroute(src, dst, avoid)
-        inc.append(time.perf_counter() - t0)
-    for _ in range(3):
-        avoid = {str(h) for h in rng.choice(candidates, size=2, replace=False)}
-        t0 = time.perf_counter()
-        sched.reroute(src, dst, avoid, incremental=False)
-        full.append(time.perf_counter() - t0)
+        reroute_s.append(time.perf_counter() - t0)
 
-    inc_ms = statistics.median(inc) * 1e3
-    full_ms = statistics.median(full) * 1e3
+    build_med = statistics.median(builds)
+    reroute_med = statistics.median(reroute_s)
     params = {"hosts": n, "epsilon": 0.1}
     return [
         BenchResult(
@@ -77,28 +81,20 @@ def _bench_minimax(smoke: bool) -> list[BenchResult]:
             params=params,
         ),
         BenchResult(
-            name=f"reroute.incremental.n{n}",
-            value=inc_ms,
+            name=f"reroute.rebuild.n{n}",
+            value=reroute_med * 1e3,
             unit="ms",
             kind="latency",
             higher_is_better=False,
             params={**params, "avoided_depots": "1-3", "samples": reroutes},
         ),
         BenchResult(
-            name=f"reroute.full_rebuild.n{n}",
-            value=full_ms,
-            unit="ms",
-            kind="latency",
-            higher_is_better=False,
-            params=params,
-        ),
-        BenchResult(
-            name=f"reroute.speedup.n{n}",
-            value=full_ms / inc_ms if inc_ms > 0 else 0.0,
+            name=f"reroute.rebuild_vs_build.n{n}",
+            value=build_med / reroute_med if reroute_med > 0 else 0.0,
             unit="x",
             kind="ratio",
             higher_is_better=True,
-            params=params,
+            params={**params, "samples": reroutes},
         ),
     ]
 

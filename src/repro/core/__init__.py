@@ -15,12 +15,7 @@
   parallel-socket throughput model.
 """
 
-from repro.core.minimax import (
-    BuildTrace,
-    MinimaxTree,
-    build_mmp_tree,
-    repair_mmp_tree,
-)
+from repro.core.minimax import MinimaxTree, build_mmp_tree
 from repro.core.paths import extract_path, path_cost, tree_edges, tree_depths
 from repro.core.epsilon import (
     EpsilonPolicy,
@@ -38,10 +33,8 @@ from repro.core.baselines import (
 )
 
 __all__ = [
-    "BuildTrace",
     "MinimaxTree",
     "build_mmp_tree",
-    "repair_mmp_tree",
     "extract_path",
     "path_cost",
     "tree_edges",

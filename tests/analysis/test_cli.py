@@ -12,7 +12,8 @@ from repro.cli.main import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-ALL_RULE_IDS = [f"RPR{n:03d}" for n in range(1, 18)]
+#: RPR015 (blocking calls in ``async def``) was retired: ``src`` has none
+ALL_RULE_IDS = [f"RPR{n:03d}" for n in range(1, 18) if n != 15]
 
 
 @pytest.fixture
@@ -143,7 +144,7 @@ def test_select_interprocedural_rules(tmp_path, capsys):
             "lint",
             str(copy),
             "--select",
-            "RPR013,RPR014,RPR015,RPR016,RPR017",
+            "RPR013,RPR014,RPR016,RPR017",
             "--format",
             "json",
         ]
